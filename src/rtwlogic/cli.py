@@ -48,10 +48,17 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = _nonnegative(text)
+    if value >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"expected a seed below 2**64, got {text}")
+    return value
+
+
 def _add_seed_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
-        "--seed", type=_nonnegative, default=DEFAULT_SEED,
+        "--seed", type=_seed, default=DEFAULT_SEED,
         help=f"reference-system seed (default {DEFAULT_SEED})",
     )
     group.add_argument(

@@ -20,7 +20,7 @@ from math import sqrt
 import numpy as np
 
 from .compiler import AffineMapGF2, InsertionProgram, affine_of_program
-from .reference import ReferenceSystem, as_tick_array, tick_range
+from .reference import ReferenceSystem, WireBank, as_tick_array, tick_range
 from .report import StatEntry, StatReport
 
 DEFAULT_EXPANSION_BUDGET = 1 << 20
@@ -239,12 +239,10 @@ def parse_superposition(text: str, n_bits: int | None = None) -> Superposition:
 
 def product_string_sample(sys: ReferenceSystem, prog: InsertionProgram | None, string: int, ticks):
     """+-1 signal of one product string under an insertion program."""
-    if not 0 <= string < (1 << sys.n_bits):
-        raise ValueError(f"string {string} out of range for n_bits={sys.n_bits}")
+    _check_string(string, sys.n_bits)
     arr, scalar = as_tick_array(ticks)
-    out = np.ones(arr.size, dtype=np.int8)
-    for bit in range(sys.n_bits):
-        out = out * sys.effective_sample(prog, bit, (string >> bit) & 1, arr)
+    bank = WireBank.draw(sys, arr).apply(prog)
+    out = bank.signs(bank.string_planes(string))
     return int(out[0]) if scalar else out
 
 
@@ -254,25 +252,95 @@ def superposition_sample(sys: ReferenceSystem, prog: InsertionProgram | None, y:
     Explicit form sums coefficient-weighted product signals; pattern form
     multiplies per-bit wire sums, never enumerating the strings.
     """
-    if y.n_bits != sys.n_bits:
-        raise ValueError(f"superposition n_bits={y.n_bits} does not match system n_bits={sys.n_bits}")
     arr, scalar = as_tick_array(ticks)
-    table = sys.wire_table(prog, arr)
-    if y.is_pattern:
-        signal = np.ones(arr.size, dtype=np.int64)
-        for bit, vals in enumerate(y.allowed):
-            factor = table[bit, vals[0]].astype(np.int64)
-            if len(vals) == 2:
-                factor = factor + table[bit, 1]
-            signal *= factor
-    else:
-        signal = np.zeros(arr.size, dtype=np.int64)
-        for s, c in y.terms:
-            prod = table[0, s & 1].copy()
-            for bit in range(1, sys.n_bits):
-                prod *= table[bit, (s >> bit) & 1]
-            signal += c * prod.astype(np.int64)
+    signal = superposition_signal(WireBank.draw(sys, arr).apply(prog), y)
     return int(signal[0]) if scalar else signal
+
+
+def superposition_signal(bank: WireBank, y: Superposition) -> np.ndarray:
+    """Exact int64 signal of a superposition on the wires of a bank."""
+    _check_width(y, bank.n_bits)
+    if y.is_pattern:
+        zero, sign = _pattern_planes(bank, y)
+        magnitude = 1 << y.free_bit_count
+        # Indexed by sign bit + 2 * zero bit.
+        levels = np.array([magnitude, -magnitude, 0, 0], dtype=np.int64)
+        sign_bits, level = np.unpackbits(
+            np.stack([sign, zero]), axis=-1, count=bank.n_ticks, bitorder="little"
+        )
+        level <<= 1
+        level |= sign_bits
+        return levels[level]
+    signal = np.zeros(bank.n_ticks, dtype=np.int64)
+    for coeffs, planes in _term_blocks(bank, y):
+        for c, plane in zip(coeffs, planes):
+            signal += bank.signs(plane) * np.int64(c)
+    return signal
+
+
+def _correlation(bank: WireBank, y: Superposition, probe_plane: np.ndarray) -> int:
+    """Exact sum over the window of a superposition's signal times a +-1
+    signal given by its sign plane, from popcounts alone."""
+    _check_width(y, bank.n_bits)
+    ticks = bank.n_ticks
+    if y.is_pattern:
+        zero, sign = _pattern_planes(bank, y)
+        differ = sign ^ probe_plane
+        # Where the signal is nonzero it is +-2^k: + where the signs agree.
+        nonzero = ticks - int(_popcount(zero))
+        nonzero_differ = int(_popcount(differ)) - int(_popcount(zero & differ))
+        return (1 << y.free_bit_count) * (nonzero - 2 * nonzero_differ)
+    total = 0
+    for coeffs, planes in _term_blocks(bank, y):
+        planes ^= probe_plane
+        for c, differ in zip(coeffs, _popcount(planes).tolist()):
+            total += c * (ticks - 2 * differ)
+    return total
+
+
+# Sign-plane bytes per block of explicit terms, which bounds the working set
+# of explicit sums and readouts whatever the term count.
+_TERM_BLOCK_BYTES = 1 << 19
+
+
+def _term_blocks(bank: WireBank, y: Superposition):
+    """Coefficients and sign planes of an explicit superposition's terms,
+    block by block."""
+    per_block = max(1, _TERM_BLOCK_BYTES // max(1, bank.planes.shape[-1]))
+    for start in range(0, len(y.terms), per_block):
+        block = y.terms[start : start + per_block]
+        yield [c for _, c in block], bank.string_planes([s for s, _ in block])
+
+
+def _pattern_planes(bank: WireBank, y: Superposition) -> tuple[np.ndarray, np.ndarray]:
+    """Zero and sign planes of a pattern superposition.
+
+    A free bit's wire sum is 0 where its two wires differ and otherwise
+    twice either wire, so the signal is 0 where any free bit's wires differ
+    and +-2^k elsewhere, with the sign of the product of one wire per bit.
+    """
+    zero = np.zeros(bank.planes.shape[-1], dtype=np.uint8)
+    sign = zero.copy()
+    for bit, vals in enumerate(y.allowed):
+        sign ^= bank.planes[bit, vals[0]]
+        if len(vals) == 2:
+            zero |= bank.planes[bit, 0] ^ bank.planes[bit, 1]
+    return zero, sign
+
+
+def _popcount(planes: np.ndarray):
+    """Set bits per sign plane (last axis; rows are whole 64-bit words)."""
+    return np.bitwise_count(planes.view(np.uint64)).sum(axis=-1)
+
+
+def _check_width(y: Superposition, n_bits: int) -> None:
+    if y.n_bits != n_bits:
+        raise ValueError(f"superposition n_bits={y.n_bits} does not match system n_bits={n_bits}")
+
+
+def _check_string(string: int, n_bits: int) -> None:
+    if not 0 <= string < (1 << n_bits):
+        raise ValueError(f"string {string} out of range for n_bits={n_bits}")
 
 
 def oracle_apply(
@@ -297,8 +365,9 @@ def zero_fraction(sys: ReferenceSystem, y: Superposition, ticks: int) -> StatRep
         raise ValueError("zero statistics apply to pattern superpositions")
     if ticks < 1:
         raise ValueError(f"need at least one tick, got {ticks}")
-    signal = superposition_sample(sys, None, y, tick_range(ticks))
-    fraction = float(np.count_nonzero(signal == 0)) / ticks
+    _check_width(y, sys.n_bits)
+    zero, _ = _pattern_planes(WireBank.draw(sys, tick_range(ticks)), y)
+    fraction = int(_popcount(zero)) / ticks
     k = y.free_bit_count
     expected = 1.0 - 0.5**k
     tolerance = 5.0 * sqrt(expected * (1.0 - expected) / ticks)
@@ -329,10 +398,11 @@ def membership_estimate(
     """
     if ticks < 1:
         raise ValueError(f"need at least one tick, got {ticks}")
-    window = tick_range(ticks)
-    signal = superposition_sample(sys, prog, y, window)
-    probe_signal = product_string_sample(sys, None, probe, window)
-    estimate = float(np.mean(signal * probe_signal))
+    _check_string(probe, sys.n_bits)
+    raw = WireBank.draw(sys, tick_range(ticks))
+    # One exact integer and one division: the same float as the mean of
+    # the int64 products.
+    estimate = _correlation(raw.apply(prog), y, raw.string_planes(probe)) / ticks
     expected = float(membership_coefficient(prog, y, probe))
     tolerance = 5.0 * sqrt(y.sq_coeff_sum() / ticks)
     name = f"membership[{format_bits(probe, sys.n_bits)}]"

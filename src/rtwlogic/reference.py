@@ -15,7 +15,7 @@ import numpy as np
 
 from .compiler import InsertionProgram
 from .report import StatEntry, StatReport
-from .rng import coin_flips, stream_key
+from .rng import coin_flips, sign_planes, stream_key, unpack_signs
 
 MAX_BITS = 32
 DEFAULT_SEED = 42
@@ -54,15 +54,21 @@ class ReferenceSystem:
     def __post_init__(self) -> None:
         if not 1 <= self.n_bits <= MAX_BITS:
             raise ValueError(f"n_bits must be in [1, {MAX_BITS}], got {self.n_bits}")
+        # Stream keys reduce the seed mod 2**64; a wider seed would alias.
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     def _check_bit(self, bit: int) -> None:
         if not 0 <= bit < self.n_bits:
             raise ValueError(f"bit index {bit} out of range for n_bits={self.n_bits}")
 
-    def _wire_key(self, bit: int, value: int) -> int:
+    def _check_wire(self, bit: int, value: int) -> None:
         self._check_bit(bit)
         if value not in (0, 1):
             raise ValueError(f"bit value must be 0 or 1, got {value}")
+
+    def _wire_key(self, bit: int, value: int) -> int:
+        self._check_wire(bit, value)
         return stream_key(self.seed, 2 * bit + value)
 
     def sample(self, bit: int, value: int, ticks):
@@ -84,39 +90,74 @@ class ReferenceSystem:
 
     def effective_sample(self, prog: InsertionProgram | None, bit: int, value: int, ticks):
         """Wire (bit, value) after applying a program's inserted NOT operators."""
-        if prog is None:
-            return self.sample(bit, value, ticks)
-        if prog.n_bits != self.n_bits:
-            raise ValueError(f"program n_bits={prog.n_bits} does not match system n_bits={self.n_bits}")
+        self._check_wire(bit, value)
         arr, scalar = as_tick_array(ticks)
-        out = coin_flips(self._wire_key(bit, value), arr)
-        for target in prog.targets_on(bit, value):
-            out = out * self.not_operator(target, arr)
+        bank = WireBank.draw(self, arr).apply(prog)
+        out = bank.signs(bank.planes[bit, value])
         return int(out[0]) if scalar else out
 
     def wire_table(self, prog: InsertionProgram | None, ticks: np.ndarray) -> np.ndarray:
-        """All effective wire samples as an int8 array of shape (n_bits, 2, T).
+        """All effective wire samples as an int8 array of shape (n_bits, 2, T)."""
+        bank = WireBank.draw(self, ticks).apply(prog)
+        return bank.signs(bank.planes)
 
-        NOT-operator streams are computed once and multiplied into every
-        hosting wire, so the cost is O((2N + M) * T).
-        """
+
+class WireBank:
+    """All 2*n_bits wires of a system over one tick window, as sign planes.
+
+    `planes[bit, value]` holds that wire's samples packed one bit per tick
+    (uint8, little bit order, bit 1 meaning -1, zero padding to whole 64-bit
+    words). A product of +-1 samples is the XOR of their planes, so a NOT
+    insertion XORs its target's `plane0 ^ plane1` into the host plane.
+    """
+
+    def __init__(self, planes: np.ndarray, n_ticks: int):
+        self.planes = planes
+        self.n_ticks = n_ticks
+
+    @classmethod
+    def draw(cls, system: ReferenceSystem, ticks) -> "WireBank":
+        """The raw reference wires; each is hashed exactly once."""
         arr, _ = as_tick_array(ticks)
-        table = np.empty((self.n_bits, 2, arr.size), dtype=np.int8)
-        for bit in range(self.n_bits):
-            for value in (0, 1):
-                table[bit, value] = coin_flips(self._wire_key(bit, value), arr)
-        if prog is not None:
-            if prog.n_bits != self.n_bits:
-                raise ValueError(f"program n_bits={prog.n_bits} does not match system n_bits={self.n_bits}")
-            # Operators are products of the raw reference wires, so build them
-            # all before any host wire gets modified.
-            operators = {
-                target: table[target, 0] * table[target, 1]
-                for target in {ins.target for ins in prog.insertions}
-            }
-            for ins in prog.insertions:
-                table[ins.host_bit, ins.host_value] *= operators[ins.target]
-        return table
+        keys = [stream_key(system.seed, channel) for channel in range(2 * system.n_bits)]
+        planes = sign_planes(keys, arr).reshape(system.n_bits, 2, -1)
+        return cls(planes, arr.size)
+
+    @property
+    def n_bits(self) -> int:
+        return self.planes.shape[0]
+
+    def apply(self, prog: InsertionProgram | None) -> "WireBank":
+        """The effective wires under a program's NOT insertions.
+
+        Operators are products of the raw reference wires, so they are all
+        built from this bank's planes before any host plane changes.
+        """
+        if prog is None:
+            return self
+        if prog.n_bits != self.n_bits:
+            raise ValueError(f"program n_bits={prog.n_bits} does not match system n_bits={self.n_bits}")
+        operators = {
+            target: self.planes[target, 0] ^ self.planes[target, 1]
+            for target in {ins.target for ins in prog.insertions}
+        }
+        planes = self.planes.copy()
+        for ins in prog.insertions:
+            planes[ins.host_bit, ins.host_value] ^= operators[ins.target]
+        return WireBank(planes, self.n_ticks)
+
+    def string_planes(self, strings) -> np.ndarray:
+        """Sign planes of product strings, one row each: the XOR of the
+        plane each string selects per bit."""
+        strings = np.asarray(strings, dtype=np.int64)
+        out = np.take(self.planes[0], strings & 1, axis=0)  # a copy, also for one string
+        for bit in range(1, self.n_bits):
+            out ^= self.planes[bit, (strings >> bit) & 1]
+        return out
+
+    def signs(self, planes: np.ndarray) -> np.ndarray:
+        """Sign planes unpacked along the last axis to int8 +-1 samples."""
+        return unpack_signs(planes, self.n_ticks)
 
 
 def sample_wire(sys: ReferenceSystem, wire: tuple[int, int], ticks):

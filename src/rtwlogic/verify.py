@@ -28,9 +28,9 @@ from .hyperspace import (
     DEFAULT_EXPANSION_BUDGET,
     Superposition,
     oracle_apply,
-    superposition_sample,
+    superposition_signal,
 )
-from .reference import DEFAULT_SEED, ReferenceSystem, tick_range
+from .reference import DEFAULT_SEED, ReferenceSystem, WireBank, tick_range
 
 DEFAULT_TICKS = 1024
 
@@ -77,9 +77,9 @@ def signal_equivalence_check(
     amap = circuit_to_affine(circ)
     prog = compile_to_insertions(amap)
     mapped = oracle_apply(amap, y, budget)
-    window = tick_range(ticks)
-    transformed = superposition_sample(sys, prog, y, window)
-    expected = superposition_sample(sys, None, mapped, window)
+    raw = WireBank.draw(sys, tick_range(ticks))
+    transformed = superposition_signal(raw.apply(prog), y)
+    expected = superposition_signal(raw, mapped)
     return compare_signals(transformed, expected)
 
 
@@ -96,9 +96,9 @@ def universe_invariance_check(
         raise ValueError("universe invariance is stated for CNOT-only cascades")
     universe = Superposition.universe(sys.n_bits)
     prog = compile_to_insertions(circuit_to_affine(circ))
-    window = tick_range(ticks)
-    transformed = superposition_sample(sys, prog, universe, window)
-    base = superposition_sample(sys, None, universe, window)
+    raw = WireBank.draw(sys, tick_range(ticks))
+    transformed = superposition_signal(raw.apply(prog), universe)
+    base = superposition_signal(raw, universe)
     return compare_signals(transformed, base)
 
 

@@ -137,6 +137,15 @@ def test_simulate_rejects_bad_superposition(tmp_path, capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 42)])
+def test_seed_flag_rejects_seeds_outside_64_bits(seed, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "2", "--seed", seed, "--ticks", "4",
+              "--superposition", "universe", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_random_seed_flag_prints_the_drawn_seed(tmp_path, capsys):
     out_path = tmp_path / "t.csv"
     code, out, _ = run(

@@ -192,3 +192,16 @@ def test_validation_errors():
         as_tick_array(2.5)
     with pytest.raises(ValueError):
         orthogonality_report(sys2, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # 2**64 + 42 would otherwise draw seed 42's streams under another name
+    with pytest.raises(ValueError, match="seed"):
+        ReferenceSystem(4, seed)
+
+
+def test_seed_range_edges_are_accepted():
+    for seed in (0, 2**64 - 1):
+        trace = ReferenceSystem(2, seed).sample(0, 0, WINDOW)
+        assert set(np.unique(trace)) <= {-1, 1}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rtwlogic.rng import _mix64_array, coin_flip, coin_flips, mix64, stream_key
+from rtwlogic.rng import _mix64_array, coin_flip, coin_flips, mix64, sign_planes, stream_key
 
 MASK64 = (1 << 64) - 1
 
@@ -44,6 +44,20 @@ def test_coin_flips_matches_scalar_path():
     vec = coin_flips(key, ticks)
     assert vec.dtype == np.int8
     assert list(vec) == [coin_flip(key, t) for t in range(1000)]
+
+
+def test_sign_planes_match_the_scalar_path_across_tiles():
+    # 40 streams over 10_003 ticks are hashed in several tiles, the last one
+    # ragged; bits past the window stay zero.
+    keys = [stream_key(42, ch) for ch in range(40)]
+    ticks = np.arange(10_003, dtype=np.uint64) + np.uint64(2**33)
+    planes = sign_planes(keys, ticks)
+    assert planes.dtype == np.uint8 and planes.shape == (40, 8 * 157)
+    bits = np.unpackbits(planes, axis=1, bitorder="little")
+    assert not bits[:, ticks.size :].any()
+    for w in (0, 17, 39):
+        want = [coin_flip(keys[w], int(t)) == -1 for t in ticks]
+        assert bits[w, : ticks.size].tolist() == want
 
 
 # Golden values frozen after the generator was chosen; any change to the
