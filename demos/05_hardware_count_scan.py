@@ -16,6 +16,6 @@ for m in sorted(report.histogram):
     bar = "#" * max(1, round(40 * report.histogram[m] / peak))
     print(f"  M={m:2d}  {report.histogram[m]:5d}  {bar}")
 
-print(f"\n{report.violation_count} cascades fell below the gate count; first three witnesses:")
+print(f"\n{len(report.violations)} cascades fell below the gate count; first three witnesses:")
 for v in report.violations[:3]:
     print(f"  M={v.m}: {'; '.join(v.circuit_text.splitlines())}")

@@ -20,7 +20,6 @@ from .compiler import (
     compile_circuit,
     compile_to_insertions,
     conjecture_scan,
-    hardware_count,
     interacting_chain,
     noninteracting_chain,
     not_gate,
@@ -46,10 +45,9 @@ from .reference import (
     orthogonality_report,
     tick_range,
 )
-from .report import StatEntry, StatReport
+from .report import Report, StatEntry
 from .verify import (
     EquivalenceResult,
-    SuiteReport,
     TrialsReport,
     canonical_suite,
     random_equivalence_trials,
@@ -72,10 +70,9 @@ __all__ = [
     "InsertionProgram",
     "MAX_BITS",
     "ReferenceSystem",
+    "Report",
     "StatEntry",
-    "StatReport",
     "Superposition",
-    "SuiteReport",
     "TrialsReport",
     "affine_of_program",
     "canonical_suite",
@@ -85,7 +82,6 @@ __all__ = [
     "compile_to_insertions",
     "conjecture_scan",
     "format_bits",
-    "hardware_count",
     "interacting_chain",
     "membership_coefficient",
     "membership_estimate",

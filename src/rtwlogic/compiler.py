@@ -277,10 +277,6 @@ class InsertionProgram:
         """Hardware element count: the number of inserted NOT operators."""
         return len(self.insertions)
 
-    def targets_on(self, bit: int, value: int) -> tuple[int, ...]:
-        """Sorted targets whose NOT operator sits on wire (bit, value)."""
-        return tuple(sorted(i.target for i in self.insertions if i.host_bit == bit and i.host_value == value))
-
     def sorted_insertions(self) -> list[Insertion]:
         return sorted(self.insertions)
 
@@ -322,10 +318,6 @@ def compile_circuit(circ: GateCircuit) -> InsertionProgram:
     return compile_to_insertions(circuit_to_affine(circ))
 
 
-def hardware_count(prog: InsertionProgram) -> int:
-    return prog.m
-
-
 def affine_of_program(prog: InsertionProgram) -> AffineMapGF2:
     """Recover the affine map an insertion program realizes.
 
@@ -358,12 +350,17 @@ def interacting_chain(length: int) -> GateCircuit:
     return GateCircuit(length + 1, tuple(cnot(i, i + 1) for i in range(length)))
 
 
-def random_cnot_cascade(rng: random.Random, n_bits: int, n_gates: int) -> GateCircuit:
-    """Uniform random CNOT-only cascade (control != target)."""
+def random_cascade(rng: random.Random, n_bits: int, n_gates: int, not_rate: float) -> GateCircuit:
+    """Random NOT/CNOT cascade: each gate is a NOT with probability
+    `not_rate`, else a uniform CNOT. No coin is drawn where the rate is 0 or
+    a single bit allows only NOTs."""
     gates = []
     for _ in range(n_gates):
-        c, t = rng.sample(range(n_bits), 2)
-        gates.append(cnot(c, t))
+        if n_bits >= 2 and (not not_rate or rng.random() < 1.0 - not_rate):
+            c, t = rng.sample(range(n_bits), 2)
+            gates.append(cnot(c, t))
+        else:
+            gates.append(not_gate(rng.randrange(n_bits)))
     return GateCircuit(n_bits, tuple(gates))
 
 
@@ -387,10 +384,16 @@ class ConjectureScanReport:
     n_bits: int
     samples: int
     seed: int
-    min_m: int
-    max_m: int
-    histogram: dict[int, int]
+    histogram: dict[int, int] = field(default_factory=dict)
     violations: list[ScanViolation] = field(default_factory=list)
+
+    @property
+    def min_m(self) -> int:
+        return min(self.histogram)
+
+    @property
+    def max_m(self) -> int:
+        return max(self.histogram)
 
     @property
     def lower_bound(self) -> int:
@@ -399,10 +402,6 @@ class ConjectureScanReport:
     @property
     def upper_bound(self) -> int:
         return self.n_gates * (self.n_gates + 1) // 2
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
 
     def to_dict(self) -> dict:
         return {
@@ -418,6 +417,23 @@ class ConjectureScanReport:
             "violations": [v.to_dict() for v in self.violations],
         }
 
+    def lines(self) -> list[str]:
+        """The histogram, then the first ten violations."""
+        out = [
+            f"cascades of {self.n_gates} CNOT gates on {self.n_bits} bits, {self.samples} samples",
+            f"conjectured range: {self.lower_bound} <= M <= {self.upper_bound}",
+        ]
+        out.extend(f"  M={m}: {self.histogram[m]}" for m in sorted(self.histogram))
+        if not self.violations:
+            return out + ["no cascades outside the conjectured range"]
+        out.append(f"{len(self.violations)} cascade(s) outside the conjectured range:")
+        for v in self.violations[:10]:
+            gates = "; ".join(v.circuit_text.splitlines())
+            out.append(f"  [{v.bound} bound] M={v.m}: {gates}")
+        if len(self.violations) > 10:
+            out.append(f"  ... and {len(self.violations) - 10} more")
+        return out
+
 
 def conjecture_scan(n_gates: int, n_bits: int, samples: int, seed: int = 0) -> ConjectureScanReport:
     """Compile random CNOT cascades and flag every bound violation verbatim.
@@ -432,25 +448,13 @@ def conjecture_scan(n_gates: int, n_bits: int, samples: int, seed: int = 0) -> C
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    lower = n_gates
-    upper = n_gates * (n_gates + 1) // 2
-    histogram: Counter[int] = Counter()
-    violations: list[ScanViolation] = []
+    report = ConjectureScanReport(n_gates, n_bits, samples, seed)
     for _ in range(samples):
-        circ = random_cnot_cascade(rng, n_bits, n_gates)
+        circ = random_cascade(rng, n_bits, n_gates, not_rate=0.0)
         m = compile_circuit(circ).m
-        histogram[m] += 1
-        if m < lower:
-            violations.append(ScanViolation(circ.to_text(), m, "lower"))
-        elif m > upper:
-            violations.append(ScanViolation(circ.to_text(), m, "upper"))
-    return ConjectureScanReport(
-        n_gates=n_gates,
-        n_bits=n_bits,
-        samples=samples,
-        seed=seed,
-        min_m=min(histogram),
-        max_m=max(histogram),
-        histogram=dict(histogram),
-        violations=violations,
-    )
+        report.histogram[m] = report.histogram.get(m, 0) + 1
+        if m < report.lower_bound:
+            report.violations.append(ScanViolation(circ.to_text(), m, "lower"))
+        elif m > report.upper_bound:
+            report.violations.append(ScanViolation(circ.to_text(), m, "upper"))
+    return report

@@ -21,7 +21,7 @@ import numpy as np
 
 from .compiler import AffineMapGF2, InsertionProgram, affine_of_program
 from .reference import ReferenceSystem, WireBank, as_tick_array, tick_range
-from .report import StatEntry, StatReport
+from .report import Report, StatEntry
 
 DEFAULT_EXPANSION_BUDGET = 1 << 20
 
@@ -187,7 +187,12 @@ class Superposition:
         for s, c in self.terms:
             bits = format_bits(s, self.n_bits)
             chunks.append(bits if c == 1 else f"{c}*{bits}")
-        return ";".join(chunks)
+        text = ";".join(chunks)
+        # A lone chunk such as "10*110" would read back as a pattern; the
+        # trailing separator makes it a term list.
+        if len(chunks) == 1 and "*" in text and set(text) <= {"0", "1", "*"}:
+            text += ";"
+        return text
 
 
 _CHUNK_RE = re.compile(r"^(?:(?P<coeff>[+-]?\d+)\*)?(?P<bits>[01]+)$")
@@ -354,7 +359,7 @@ def oracle_apply(
     return Superposition.explicit(y.n_bits, pairs)
 
 
-def zero_fraction(sys: ReferenceSystem, y: Superposition, ticks: int) -> StatReport:
+def zero_fraction(sys: ReferenceSystem, y: Superposition, ticks: int) -> Report:
     """Fraction of ticks a pattern superposition's signal is exactly zero.
 
     Each free bit contributes a wire-sum factor that vanishes with
@@ -371,7 +376,7 @@ def zero_fraction(sys: ReferenceSystem, y: Superposition, ticks: int) -> StatRep
     k = y.free_bit_count
     expected = 1.0 - 0.5**k
     tolerance = 5.0 * sqrt(expected * (1.0 - expected) / ticks)
-    return StatReport([StatEntry("zero_fraction", fraction, expected, tolerance, ticks)])
+    return Report([StatEntry("zero_fraction", fraction, expected, tolerance, ticks)])
 
 
 def membership_coefficient(prog: InsertionProgram | None, y: Superposition, probe: int) -> int:
@@ -388,7 +393,7 @@ def membership_estimate(
     y: Superposition,
     probe: int,
     ticks: int,
-) -> StatReport:
+) -> Report:
     """Time-averaged correlation of a superposition signal with one probe
     string, read on the untransformed reference wires.
 
@@ -406,4 +411,4 @@ def membership_estimate(
     expected = float(membership_coefficient(prog, y, probe))
     tolerance = 5.0 * sqrt(y.sq_coeff_sum() / ticks)
     name = f"membership[{format_bits(probe, sys.n_bits)}]"
-    return StatReport([StatEntry(name, estimate, expected, tolerance, ticks)])
+    return Report([StatEntry(name, estimate, expected, tolerance, ticks)])

@@ -14,7 +14,7 @@ from math import sqrt
 import numpy as np
 
 from .compiler import InsertionProgram
-from .report import StatEntry, StatReport
+from .report import Report, StatEntry
 from .rng import coin_flips, sign_planes, stream_key, unpack_signs
 
 MAX_BITS = 32
@@ -58,12 +58,9 @@ class ReferenceSystem:
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
-    def _check_bit(self, bit: int) -> None:
+    def _check_wire(self, bit: int, value: int) -> None:
         if not 0 <= bit < self.n_bits:
             raise ValueError(f"bit index {bit} out of range for n_bits={self.n_bits}")
-
-    def _check_wire(self, bit: int, value: int) -> None:
-        self._check_bit(bit)
         if value not in (0, 1):
             raise ValueError(f"bit value must be 0 or 1, got {value}")
 
@@ -160,20 +157,7 @@ class WireBank:
         return unpack_signs(planes, self.n_ticks)
 
 
-def sample_wire(sys: ReferenceSystem, wire: tuple[int, int], ticks):
-    """Free-function form of ReferenceSystem.sample for a (bit, value) pair."""
-    return sys.sample(wire[0], wire[1], ticks)
-
-
-def not_operator_sample(sys: ReferenceSystem, bit: int, ticks):
-    return sys.not_operator(bit, ticks)
-
-
-def effective_wire_sample(sys: ReferenceSystem, prog: InsertionProgram | None, wire: tuple[int, int], ticks):
-    return sys.effective_sample(prog, wire[0], wire[1], ticks)
-
-
-def orthogonality_report(sys: ReferenceSystem, ticks: int) -> StatReport:
+def orthogonality_report(sys: ReferenceSystem, ticks: int) -> Report:
     """Empirical means behind the zero-mean and orthogonality identities.
 
     Covers every single wire, every distinct wire pair product, the
@@ -205,4 +189,5 @@ def orthogonality_report(sys: ReferenceSystem, ticks: int) -> StatReport:
             entries.append(
                 StatEntry(f"corr[W{wa}*W{wb}, W{wb}]", float((prod * samples[wb]).mean()), 0.0, tol, ticks)
             )
-    return StatReport(entries)
+    footer = f"{{count}} estimators over {len(wires)} wires, {{failed}} outside tolerance"
+    return Report(entries, footer)

@@ -1,4 +1,4 @@
-"""Pass/fail containers for statistical estimates with explicit tolerances."""
+"""Pass/fail reports: named entries, each with its own check and text line."""
 
 from __future__ import annotations
 
@@ -29,21 +29,33 @@ class StatEntry:
             "pass": self.passed,
         }
 
+    def line(self) -> str:
+        return (
+            f"{self.name}: estimate={self.estimate:+.6f} "
+            f"expected={self.expected:+.6f} tol={self.tolerance:.6f} n={self.sample_count}"
+        )
+
 
 @dataclass
-class StatReport:
-    """A list of StatEntry results; passes iff every entry passes."""
+class Report:
+    """Named entries (each with `name`, `passed`, `to_dict` and `line`);
+    passes iff every entry passes.
 
-    entries: list[StatEntry] = field(default_factory=list)
+    `footer`, when set, is printed after the entries with `{count}` and
+    `{failed}` filled in.
+    """
+
+    entries: list = field(default_factory=list)
+    footer: str = ""
 
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def failures(self) -> list[StatEntry]:
+    def failures(self) -> list:
         return [e for e in self.entries if not e.passed]
 
-    def entry(self, name: str) -> StatEntry:
+    def entry(self, name: str):
         for e in self.entries:
             if e.name == name:
                 return e
@@ -53,11 +65,7 @@ class StatReport:
         return {"pass": self.passed, "entries": [e.to_dict() for e in self.entries]}
 
     def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            mark = "ok " if e.passed else "FAIL"
-            out.append(
-                f"[{mark}] {e.name}: estimate={e.estimate:+.6f} "
-                f"expected={e.expected:+.6f} tol={e.tolerance:.6f} n={e.sample_count}"
-            )
+        out = [f"[{'ok ' if e.passed else 'FAIL'}] {e.line()}" for e in self.entries]
+        if self.footer:
+            out.append(self.footer.format(count=len(self.entries), failed=len(self.failures())))
         return out

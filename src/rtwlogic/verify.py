@@ -19,10 +19,9 @@ from .compiler import (
     Insertion,
     InsertionProgram,
     circuit_to_affine,
-    cnot,
     compile_to_insertions,
-    not_gate,
     parse_circuit,
+    random_cascade,
 )
 from .hyperspace import (
     DEFAULT_EXPANSION_BUDGET,
@@ -31,6 +30,7 @@ from .hyperspace import (
     superposition_signal,
 )
 from .reference import DEFAULT_SEED, ReferenceSystem, WireBank, tick_range
+from .report import Report
 
 DEFAULT_TICKS = 1024
 
@@ -75,12 +75,7 @@ def signal_equivalence_check(
     """Compiled-program signal of `y` vs untransformed signal of the
     oracle-mapped superposition, exactly, at every tick."""
     amap = circuit_to_affine(circ)
-    prog = compile_to_insertions(amap)
-    mapped = oracle_apply(amap, y, budget)
-    raw = WireBank.draw(sys, tick_range(ticks))
-    transformed = superposition_signal(raw.apply(prog), y)
-    expected = superposition_signal(raw, mapped)
-    return compare_signals(transformed, expected)
+    return _bank_equivalence(sys, compile_to_insertions(amap), y, oracle_apply(amap, y, budget), ticks)
 
 
 def universe_invariance_check(
@@ -95,11 +90,18 @@ def universe_invariance_check(
     if not circ.is_pure_cnot:
         raise ValueError("universe invariance is stated for CNOT-only cascades")
     universe = Superposition.universe(sys.n_bits)
-    prog = compile_to_insertions(circuit_to_affine(circ))
+    return _bank_equivalence(sys, compile_to_insertions(circuit_to_affine(circ)), universe, universe, ticks)
+
+
+def _bank_equivalence(
+    sys: ReferenceSystem, prog: InsertionProgram, y: Superposition, expected_y: Superposition, ticks: int
+) -> EquivalenceResult:
+    """Signal of `y` on the program's wires vs signal of `expected_y` on the
+    raw wires, both from one draw of the raw bank."""
     raw = WireBank.draw(sys, tick_range(ticks))
-    transformed = superposition_signal(raw.apply(prog), universe)
-    base = superposition_signal(raw, universe)
-    return compare_signals(transformed, base)
+    transformed = superposition_signal(raw.apply(prog), y)
+    expected = superposition_signal(raw, expected_y)
+    return compare_signals(transformed, expected)
 
 
 def random_explicit(rng: random.Random, n_bits: int, max_terms: int) -> Superposition:
@@ -109,18 +111,6 @@ def random_explicit(rng: random.Random, n_bits: int, max_terms: int) -> Superpos
     return Superposition.explicit(
         n_bits, {s: rng.choice((-3, -2, -1, 1, 2, 3)) for s in strings}
     )
-
-
-def random_circuit(rng: random.Random, n_bits: int, n_gates: int) -> GateCircuit:
-    """Random NOT/CNOT cascade over n_bits."""
-    gates = []
-    for _ in range(n_gates):
-        if n_bits >= 2 and rng.random() < 0.8:
-            c, t = rng.sample(range(n_bits), 2)
-            gates.append(cnot(c, t))
-        else:
-            gates.append(not_gate(rng.randrange(n_bits)))
-    return GateCircuit(n_bits, tuple(gates))
 
 
 @dataclass
@@ -184,7 +174,7 @@ def random_equivalence_trials(
     report = TrialsReport()
     for _ in range(n_trials):
         n_bits = rng.randint(2, max_bits)
-        circ = random_circuit(rng, n_bits, rng.randint(1, max_gates))
+        circ = random_cascade(rng, n_bits, rng.randint(1, max_gates), not_rate=0.2)
         y = random_explicit(rng, n_bits, max_terms)
         for seed in seeds:
             system = ReferenceSystem(n_bits, seed)
@@ -272,35 +262,19 @@ class SuiteEntry:
             "equivalence": self.equivalence.to_dict(),
         }
 
-
-@dataclass
-class SuiteReport:
-    entries: list[SuiteEntry] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {"pass": self.passed, "entries": [e.to_dict() for e in self.entries]}
-
-    def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            mark = "ok " if e.passed else "FAIL"
-            out.append(
-                f"[{mark}] {e.name}: M={e.program.m} (expected {e.expected_m}), "
-                f"program {'matches' if e.program_ok else 'DIFFERS'}, "
-                f"equivalence over {e.equivalence.ticks_checked} ticks "
-                f"{'exact' if e.equivalence.passed else 'MISMATCH'}"
-            )
-        return out
+    def line(self) -> str:
+        return (
+            f"{self.name}: M={self.program.m} (expected {self.expected_m}), "
+            f"program {'matches' if self.program_ok else 'DIFFERS'}, "
+            f"equivalence over {self.equivalence.ticks_checked} ticks "
+            f"{'exact' if self.equivalence.passed else 'MISMATCH'}"
+        )
 
 
-def canonical_suite(seed: int = DEFAULT_SEED, ticks: int = DEFAULT_TICKS) -> SuiteReport:
+def canonical_suite(seed: int = DEFAULT_SEED, ticks: int = DEFAULT_TICKS) -> Report:
     """Compile every canonical circuit, check the exact insertion sets and
     hardware counts, and verify signal equivalence on all 2^4 strings."""
-    report = SuiteReport()
+    report = Report()
     system = ReferenceSystem(SUITE_BITS, seed)
     everything = Superposition.universe(SUITE_BITS).expand()
     for name, (text, expected, expected_m) in CANONICAL_CIRCUITS.items():

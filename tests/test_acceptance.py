@@ -16,7 +16,6 @@ from rtwlogic.compiler import (
     cnot,
     compile_circuit,
     conjecture_scan,
-    hardware_count,
     interacting_chain,
     noninteracting_chain,
     not_gate,
@@ -190,8 +189,8 @@ def test_criterion_6_membership_readout_with_eight_strings():
 def test_criterion_7_hardware_count_bounds_and_scan():
     problems = []
     for length in range(1, 11):
-        low = hardware_count(compile_circuit(noninteracting_chain(length)))
-        high = hardware_count(compile_circuit(interacting_chain(length)))
+        low = compile_circuit(noninteracting_chain(length)).m
+        high = compile_circuit(interacting_chain(length)).m
         if low != length or high != length * (length + 1) // 2:
             problems.append(f"L={length}: M={low},{high}")
     cancelling = compile_circuit(parse_circuit("CNOT 0 1\nCNOT 0 1"))
@@ -201,7 +200,7 @@ def test_criterion_7_hardware_count_bounds_and_scan():
     if any(m > 15 for m in scan.histogram):
         problems.append("M above 15 observed")
     for v in scan.violations:
-        replay = hardware_count(compile_circuit(parse_circuit(v.circuit_text, n_bits=6)))
+        replay = compile_circuit(parse_circuit(v.circuit_text, n_bits=6)).m
         if v.bound != "lower" or replay != v.m or v.m >= 5:
             problems.append(f"bad violation record {v}")
     ok = not problems

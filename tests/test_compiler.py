@@ -23,12 +23,11 @@ from rtwlogic.compiler import (
     compile_circuit,
     compile_to_insertions,
     conjecture_scan,
-    hardware_count,
     interacting_chain,
     noninteracting_chain,
     not_gate,
     parse_circuit,
-    random_cnot_cascade,
+    random_cascade,
 )
 
 
@@ -233,8 +232,8 @@ def test_not_then_cnot_mixes_value_zero_hosts():
 
 
 def test_chain_direction_sets_hardware_count():
-    assert hardware_count(compile_circuit(noninteracting_chain(3))) == 3
-    assert hardware_count(compile_circuit(interacting_chain(3))) == 6
+    assert compile_circuit(noninteracting_chain(3)).m == 3
+    assert compile_circuit(interacting_chain(3)).m == 6
 
 
 def test_cancelling_pair_compiles_to_empty_program():
@@ -277,8 +276,8 @@ def test_doubling_a_circuit_matches_applying_it_twice(circ):
 
 @pytest.mark.parametrize("length", range(1, 11))
 def test_chain_families_attain_both_bounds(length):
-    assert hardware_count(compile_circuit(noninteracting_chain(length))) == length
-    assert hardware_count(compile_circuit(interacting_chain(length))) == length * (length + 1) // 2
+    assert compile_circuit(noninteracting_chain(length)).m == length
+    assert compile_circuit(interacting_chain(length)).m == length * (length + 1) // 2
 
 
 def test_chain_builders_match_their_gate_lists():
@@ -288,7 +287,7 @@ def test_chain_builders_match_their_gate_lists():
 
 def test_random_cascade_is_pure_cnot():
     rng = random.Random(5)
-    circ = random_cnot_cascade(rng, 5, 8)
+    circ = random_cascade(rng, 5, 8, not_rate=0.0)
     assert circ.is_pure_cnot and len(circ.gates) == 8
 
 
@@ -303,7 +302,7 @@ def test_scan_flags_cancelling_cascades_below_gate_count():
         assert v.bound == "lower" and v.m < report.lower_bound
         # every witness is replayable
         circ = parse_circuit(v.circuit_text, n_bits=4)
-        assert hardware_count(compile_circuit(circ)) == v.m
+        assert compile_circuit(circ).m == v.m
     below = sum(c for m, c in report.histogram.items() if m < 3)
     assert len(report.violations) == below
     assert flagged  # at 400 draws of 3 gates on 4 bits, cancellations occur

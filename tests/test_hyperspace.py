@@ -3,7 +3,7 @@ expansion, the bit-level oracle, and the statistical readouts."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtwlogic.compiler import (
@@ -27,7 +27,7 @@ from rtwlogic.hyperspace import (
     superposition_sample,
     zero_fraction,
 )
-from rtwlogic.reference import ReferenceSystem, sample_wire, tick_range
+from rtwlogic.reference import ReferenceSystem, tick_range
 
 WINDOW = tick_range(512)
 
@@ -185,12 +185,33 @@ def test_pattern_text_round_trip():
         assert y.to_text() == text
 
 
+def wide_explicit_superpositions():
+    # Coefficients such as 10 or 110 are written with the digits 0 and 1 only.
+    coeffs = st.one_of(st.integers(-1000, 1000), st.sampled_from([10, 11, 100, 101, 110, 111])).filter(bool)
+    return st.integers(1, 8).flatmap(
+        lambda n: st.dictionaries(st.integers(0, (1 << n) - 1), coeffs, min_size=1, max_size=6).map(
+            lambda terms: Superposition.explicit(n, terms)
+        )
+    )
+
+
+def pattern_superpositions():
+    return st.lists(st.sampled_from([(0,), (1,), (0, 1)]), min_size=1, max_size=8).map(Superposition.pattern)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(wide_explicit_superpositions(), pattern_superpositions()))
+@example(Superposition.explicit(3, {3: 10}))
+def test_every_nonempty_form_round_trips_through_text(y):
+    assert parse_superposition(y.to_text(), n_bits=y.n_bits).expand() == y.expand()
+
+
 # -- exact signals -----------------------------------------------------------
 
 def test_one_bit_string_signal_is_its_wire():
     sys1 = ReferenceSystem(1, 42)
     assert np.array_equal(
-        product_string_sample(sys1, None, 0, WINDOW), sample_wire(sys1, (0, 0), WINDOW)
+        product_string_sample(sys1, None, 0, WINDOW), sys1.sample(0, 0, WINDOW)
     )
 
 
@@ -203,8 +224,8 @@ def test_string_product_flips_differing_bits(sys3):
         sys3, None, b, WINDOW
     )
     want = (
-        sample_wire(sys3, (0, 1), WINDOW)
-        * sample_wire(sys3, (0, 0), WINDOW)
+        sys3.sample(0, 1, WINDOW)
+        * sys3.sample(0, 0, WINDOW)
         * np.ones(len(WINDOW), dtype=np.int8)
     )
     assert np.array_equal(prod, want)

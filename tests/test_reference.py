@@ -10,10 +10,7 @@ from rtwlogic.reference import (
     MAX_BITS,
     ReferenceSystem,
     as_tick_array,
-    effective_wire_sample,
-    not_operator_sample,
     orthogonality_report,
-    sample_wire,
     tick_range,
 )
 
@@ -26,21 +23,21 @@ def sys4():
 
 
 def test_samples_are_plus_minus_one_and_deterministic(sys4):
-    trace = sample_wire(sys4, (0, 0), WINDOW)
+    trace = sys4.sample(0, 0, WINDOW)
     assert set(np.unique(trace)) <= {-1, 1}
-    assert np.array_equal(trace, sample_wire(sys4, (0, 0), WINDOW))
+    assert np.array_equal(trace, sys4.sample(0, 0, WINDOW))
 
 
 def test_tick_order_does_not_matter(sys4):
     shuffled = WINDOW[::-1].copy()
     assert np.array_equal(
-        sample_wire(sys4, (2, 1), shuffled), sample_wire(sys4, (2, 1), WINDOW)[::-1]
+        sys4.sample(2, 1, shuffled), sys4.sample(2, 1, WINDOW)[::-1]
     )
 
 
 def test_distinct_wires_get_distinct_streams(sys4):
     traces = {
-        (b, v): tuple(sample_wire(sys4, (b, v), WINDOW))
+        (b, v): tuple(sys4.sample(b, v, WINDOW))
         for b in range(4)
         for v in (0, 1)
     }
@@ -64,18 +61,18 @@ def test_golden_samples():
 
 
 def test_not_operator_is_the_wire_pair_product(sys4):
-    inv = not_operator_sample(sys4, 3, WINDOW)
-    prod = sample_wire(sys4, (3, 0), WINDOW) * sample_wire(sys4, (3, 1), WINDOW)
+    inv = sys4.not_operator(3, WINDOW)
+    prod = sys4.sample(3, 0, WINDOW) * sys4.sample(3, 1, WINDOW)
     assert np.array_equal(inv, prod)
     # concrete corner: where the pair is (+1, -1) the product is -1
     idx = np.nonzero(
-        (sample_wire(sys4, (3, 0), WINDOW) == 1) & (sample_wire(sys4, (3, 1), WINDOW) == -1)
+        (sys4.sample(3, 0, WINDOW) == 1) & (sys4.sample(3, 1, WINDOW) == -1)
     )[0]
     assert idx.size > 0 and np.all(inv[idx] == -1)
 
 
 def test_not_operator_squares_to_one(sys4):
-    inv = not_operator_sample(sys4, 2, WINDOW).astype(np.int16)
+    inv = sys4.not_operator(2, WINDOW).astype(np.int16)
     assert np.all(inv * inv == 1)
 
 
@@ -83,17 +80,17 @@ def test_not_operator_swaps_the_wire_pair(sys4):
     # multiplying a wire by its bit's NOT operator yields the other wire,
     # exactly, at every tick
     for bit in range(4):
-        inv = not_operator_sample(sys4, bit, WINDOW)
-        w0 = sample_wire(sys4, (bit, 0), WINDOW)
-        w1 = sample_wire(sys4, (bit, 1), WINDOW)
+        inv = sys4.not_operator(bit, WINDOW)
+        w0 = sys4.sample(bit, 0, WINDOW)
+        w1 = sys4.sample(bit, 1, WINDOW)
         assert np.array_equal(w0 * inv, w1)
         assert np.array_equal(w1 * inv, w0)
 
 
 def test_pair_product_times_factor_recovers_other_factor(sys4):
     # exact integer identity, asserted per tick rather than statistically
-    wij = sample_wire(sys4, (0, 1), WINDOW)
-    wmn = sample_wire(sys4, (2, 0), WINDOW)
+    wij = sys4.sample(0, 1, WINDOW)
+    wmn = sys4.sample(2, 0, WINDOW)
     assert np.array_equal(wij * wmn * wij, wmn)
 
 
@@ -101,27 +98,27 @@ def test_empty_program_is_the_identity(sys4):
     empty = InsertionProgram.empty(4)
     for wire in ((0, 0), (1, 1), (3, 0)):
         assert np.array_equal(
-            effective_wire_sample(sys4, empty, wire, WINDOW),
-            sample_wire(sys4, wire, WINDOW),
+            sys4.effective_sample(empty, *wire, WINDOW),
+            sys4.sample(*wire, WINDOW),
         )
         assert np.array_equal(
-            effective_wire_sample(sys4, None, wire, WINDOW),
-            sample_wire(sys4, wire, WINDOW),
+            sys4.effective_sample(None, *wire, WINDOW),
+            sys4.sample(*wire, WINDOW),
         )
 
 
 def test_single_insertion_multiplies_host_by_target_operator(sys4):
     prog = InsertionProgram.from_pairs(4, [(1, 1, 2)])
     want = (
-        sample_wire(sys4, (1, 1), WINDOW)
-        * sample_wire(sys4, (2, 0), WINDOW)
-        * sample_wire(sys4, (2, 1), WINDOW)
+        sys4.sample(1, 1, WINDOW)
+        * sys4.sample(2, 0, WINDOW)
+        * sys4.sample(2, 1, WINDOW)
     )
-    assert np.array_equal(effective_wire_sample(sys4, prog, (1, 1), WINDOW), want)
+    assert np.array_equal(sys4.effective_sample(prog, 1, 1, WINDOW), want)
     # other wires untouched
     assert np.array_equal(
-        effective_wire_sample(sys4, prog, (1, 0), WINDOW),
-        sample_wire(sys4, (1, 0), WINDOW),
+        sys4.effective_sample(prog, 1, 0, WINDOW),
+        sys4.sample(1, 0, WINDOW),
     )
 
 
@@ -129,8 +126,8 @@ def test_double_insertion_cancels_at_every_tick(sys4):
     cancelled = InsertionProgram.from_pairs(4, [(1, 1, 2), (1, 1, 2)])
     assert cancelled.m == 0
     assert np.array_equal(
-        effective_wire_sample(sys4, cancelled, (1, 1), WINDOW),
-        sample_wire(sys4, (1, 1), WINDOW),
+        sys4.effective_sample(cancelled, 1, 1, WINDOW),
+        sys4.sample(1, 1, WINDOW),
     )
 
 
@@ -138,15 +135,15 @@ def test_inserted_operators_use_base_wires_even_on_modified_hosts(sys4):
     # a NOT operator inserted onto a wire that itself hosts insertions must
     # still be built from the untouched reference pair
     prog = compile_circuit(parse_circuit("CNOT 0 1\nCNOT 1 2", n_bits=4))
-    inv1 = not_operator_sample(sys4, 1, WINDOW)
-    inv2 = not_operator_sample(sys4, 2, WINDOW)
-    base01 = sample_wire(sys4, (0, 1), WINDOW)
+    inv1 = sys4.not_operator(1, WINDOW)
+    inv2 = sys4.not_operator(2, WINDOW)
+    base01 = sys4.sample(0, 1, WINDOW)
     assert np.array_equal(
-        effective_wire_sample(sys4, prog, (0, 1), WINDOW), base01 * inv1 * inv2
+        sys4.effective_sample(prog, 0, 1, WINDOW), base01 * inv1 * inv2
     )
     assert np.array_equal(
-        effective_wire_sample(sys4, prog, (1, 1), WINDOW),
-        sample_wire(sys4, (1, 1), WINDOW) * inv2,
+        sys4.effective_sample(prog, 1, 1, WINDOW),
+        sys4.sample(1, 1, WINDOW) * inv2,
     )
 
 
@@ -159,7 +156,7 @@ def test_wire_table_matches_per_wire_sampling(sys4):
             for value in (0, 1):
                 assert np.array_equal(
                     table[bit, value],
-                    effective_wire_sample(sys4, given, (bit, value), WINDOW),
+                    sys4.effective_sample(given, bit, value, WINDOW),
                 )
 
 
