@@ -134,6 +134,7 @@ class Superposition:
         return sum(1 for vals in self.allowed if len(vals) == 2)
 
     def coefficient(self, string: int) -> int:
+        _check_string(string, self.n_bits)
         if self.terms is not None:
             for s, c in self.terms:
                 if s == string:
@@ -167,15 +168,11 @@ class Superposition:
             strings.append(sum(bit << i for i, bit in enumerate(choice)))
         return Superposition.from_strings(self.n_bits, strings)
 
-    def merge(self, other: "Superposition", budget: int = DEFAULT_EXPANSION_BUDGET) -> "Superposition":
+    def __add__(self, other: "Superposition") -> "Superposition":
         """Coefficient-wise sum; pattern operands are expanded first."""
         if other.n_bits != self.n_bits:
-            raise ValueError("n_bits mismatch in merge")
-        pairs = list(self.expand(budget).terms) + list(other.expand(budget).terms)
-        return Superposition.explicit(self.n_bits, pairs)
-
-    def __add__(self, other: "Superposition") -> "Superposition":
-        return self.merge(other)
+            raise ValueError("n_bits mismatch in addition")
+        return Superposition.explicit(self.n_bits, self.expand().terms + other.expand().terms)
 
     def to_text(self) -> str:
         """Render in the text format accepted by parse_superposition."""
@@ -266,13 +263,11 @@ def superposition_signal(bank: WireBank, y: Superposition) -> np.ndarray:
     """Exact int64 signal of a superposition on the wires of a bank."""
     _check_width(y, bank.n_bits)
     if y.is_pattern:
-        zero, sign = _pattern_planes(bank, y)
+        zero, sign = bank.pattern_planes(y.allowed)
         magnitude = 1 << y.free_bit_count
         # Indexed by sign bit + 2 * zero bit.
         levels = np.array([magnitude, -magnitude, 0, 0], dtype=np.int64)
-        sign_bits, level = np.unpackbits(
-            np.stack([sign, zero]), axis=-1, count=bank.n_ticks, bitorder="little"
-        )
+        sign_bits, level = bank.bits(np.stack([sign, zero]))
         level <<= 1
         level |= sign_bits
         return levels[level]
@@ -289,53 +284,25 @@ def _correlation(bank: WireBank, y: Superposition, probe_plane: np.ndarray) -> i
     _check_width(y, bank.n_bits)
     ticks = bank.n_ticks
     if y.is_pattern:
-        zero, sign = _pattern_planes(bank, y)
+        zero, sign = bank.pattern_planes(y.allowed)
         differ = sign ^ probe_plane
         # Where the signal is nonzero it is +-2^k: + where the signs agree.
-        nonzero = ticks - int(_popcount(zero))
-        nonzero_differ = int(_popcount(differ)) - int(_popcount(zero & differ))
+        nonzero = ticks - int(bank.count(zero))
+        nonzero_differ = int(bank.count(differ)) - int(bank.count(zero & differ))
         return (1 << y.free_bit_count) * (nonzero - 2 * nonzero_differ)
     total = 0
     for coeffs, planes in _term_blocks(bank, y):
         planes ^= probe_plane
-        for c, differ in zip(coeffs, _popcount(planes).tolist()):
+        for c, differ in zip(coeffs, bank.count(planes).tolist()):
             total += c * (ticks - 2 * differ)
     return total
-
-
-# Sign-plane bytes per block of explicit terms, which bounds the working set
-# of explicit sums and readouts whatever the term count.
-_TERM_BLOCK_BYTES = 1 << 19
 
 
 def _term_blocks(bank: WireBank, y: Superposition):
     """Coefficients and sign planes of an explicit superposition's terms,
     block by block."""
-    per_block = max(1, _TERM_BLOCK_BYTES // max(1, bank.planes.shape[-1]))
-    for start in range(0, len(y.terms), per_block):
-        block = y.terms[start : start + per_block]
-        yield [c for _, c in block], bank.string_planes([s for s, _ in block])
-
-
-def _pattern_planes(bank: WireBank, y: Superposition) -> tuple[np.ndarray, np.ndarray]:
-    """Zero and sign planes of a pattern superposition.
-
-    A free bit's wire sum is 0 where its two wires differ and otherwise
-    twice either wire, so the signal is 0 where any free bit's wires differ
-    and +-2^k elsewhere, with the sign of the product of one wire per bit.
-    """
-    zero = np.zeros(bank.planes.shape[-1], dtype=np.uint8)
-    sign = zero.copy()
-    for bit, vals in enumerate(y.allowed):
-        sign ^= bank.planes[bit, vals[0]]
-        if len(vals) == 2:
-            zero |= bank.planes[bit, 0] ^ bank.planes[bit, 1]
-    return zero, sign
-
-
-def _popcount(planes: np.ndarray):
-    """Set bits per sign plane (last axis; rows are whole 64-bit words)."""
-    return np.bitwise_count(planes.view(np.uint64)).sum(axis=-1)
+    for start, planes in bank.string_blocks([s for s, _ in y.terms]):
+        yield [c for _, c in y.terms[start : start + len(planes)]], planes
 
 
 def _check_width(y: Superposition, n_bits: int) -> None:
@@ -348,14 +315,12 @@ def _check_string(string: int, n_bits: int) -> None:
         raise ValueError(f"string {string} out of range for n_bits={n_bits}")
 
 
-def oracle_apply(
-    affine: AffineMapGF2, y: Superposition, budget: int = DEFAULT_EXPANSION_BUDGET
-) -> Superposition:
+def oracle_apply(affine: AffineMapGF2, y: Superposition) -> Superposition:
     """Bit-level oracle: push every string through the map, merging
     coefficients of colliding images."""
     if affine.n_bits != y.n_bits:
         raise ValueError(f"map n_bits={affine.n_bits} does not match superposition n_bits={y.n_bits}")
-    pairs = [(affine.apply(s), c) for s, c in y.expand(budget).terms]
+    pairs = [(affine.apply(s), c) for s, c in y.expand().terms]
     return Superposition.explicit(y.n_bits, pairs)
 
 
@@ -368,11 +333,10 @@ def zero_fraction(sys: ReferenceSystem, y: Superposition, ticks: int) -> Report:
     """
     if not y.is_pattern:
         raise ValueError("zero statistics apply to pattern superpositions")
-    if ticks < 1:
-        raise ValueError(f"need at least one tick, got {ticks}")
     _check_width(y, sys.n_bits)
-    zero, _ = _pattern_planes(WireBank.draw(sys, tick_range(ticks)), y)
-    fraction = int(_popcount(zero)) / ticks
+    bank = WireBank.draw(sys, tick_range(ticks))
+    zero, _ = bank.pattern_planes(y.allowed)
+    fraction = int(bank.count(zero)) / ticks
     k = y.free_bit_count
     expected = 1.0 - 0.5**k
     tolerance = 5.0 * sqrt(expected * (1.0 - expected) / ticks)
@@ -381,6 +345,10 @@ def zero_fraction(sys: ReferenceSystem, y: Superposition, ticks: int) -> Report:
 
 def membership_coefficient(prog: InsertionProgram | None, y: Superposition, probe: int) -> int:
     """Coefficient of `probe` in the image of `y` under the program's map."""
+    # The inverse map masks its input to the width, so check the probe here.
+    _check_string(probe, y.n_bits)
+    if prog is not None and prog.n_bits != y.n_bits:
+        raise ValueError(f"program n_bits={prog.n_bits} does not match superposition n_bits={y.n_bits}")
     amap = affine_of_program(prog) if prog is not None else AffineMapGF2.identity(y.n_bits)
     if amap.is_invertible():
         return y.coefficient(amap.inverse().apply(probe))
@@ -401,8 +369,6 @@ def membership_estimate(
     (program-transformed) superposition; the tolerance is the 5-sigma band
     5*sqrt(A/T) with A the sum of squared coefficients.
     """
-    if ticks < 1:
-        raise ValueError(f"need at least one tick, got {ticks}")
     _check_string(probe, sys.n_bits)
     raw = WireBank.draw(sys, tick_range(ticks))
     # One exact integer and one division: the same float as the mean of

@@ -20,6 +20,10 @@ from .rng import coin_flips, sign_planes, stream_key, unpack_signs
 MAX_BITS = 32
 DEFAULT_SEED = 42
 
+# Sign-plane bytes per block of product strings, which bounds the working
+# set of explicit sums and readouts whatever the term count.
+_BLOCK_BYTES = 1 << 19
+
 
 def as_tick_array(ticks) -> tuple[np.ndarray, bool]:
     """Normalize ticks to a uint64 array; the flag marks scalar input."""
@@ -106,6 +110,8 @@ class WireBank:
     (uint8, little bit order, bit 1 meaning -1, zero padding to whole 64-bit
     words). A product of +-1 samples is the XOR of their planes, so a NOT
     insertion XORs its target's `plane0 ^ plane1` into the host plane.
+    Only this class and `rng` read that layout; callers combine planes
+    bitwise and read them back through `count`, `bits` and `signs`.
     """
 
     def __init__(self, planes: np.ndarray, n_ticks: int):
@@ -152,6 +158,38 @@ class WireBank:
             out ^= self.planes[bit, (strings >> bit) & 1]
         return out
 
+    def string_blocks(self, strings):
+        """(start index, `string_planes`) of consecutive blocks of strings,
+        sized to bound the working set whatever the string count."""
+        per_block = max(1, _BLOCK_BYTES // max(1, self.planes.shape[-1]))
+        for start in range(0, len(strings), per_block):
+            yield start, self.string_planes(strings[start : start + per_block])
+
+    def pattern_planes(self, allowed) -> tuple[np.ndarray, np.ndarray]:
+        """Zero and sign planes of a pattern with per-bit allowed values.
+
+        A free bit's wire sum is 0 where its two wires differ and otherwise
+        twice either wire, so the pattern's signal is 0 where any free bit's
+        wires differ and +-2^k elsewhere, with the sign of the product of
+        one wire per bit.
+        """
+        zero = np.zeros(self.planes.shape[-1], dtype=np.uint8)
+        sign = zero.copy()
+        for bit, vals in enumerate(allowed):
+            sign ^= self.planes[bit, vals[0]]
+            if len(vals) == 2:
+                zero |= self.planes[bit, 0] ^ self.planes[bit, 1]
+        return zero, sign
+
+    def count(self, planes: np.ndarray):
+        """Set bits (-1 samples) per plane along the last axis; the zero
+        padding never counts."""
+        return np.bitwise_count(planes.view(np.uint64)).sum(axis=-1)
+
+    def bits(self, planes: np.ndarray) -> np.ndarray:
+        """Planes unpacked along the last axis to uint8 bits, 1 meaning -1."""
+        return np.unpackbits(planes, axis=-1, count=self.n_ticks, bitorder="little")
+
     def signs(self, planes: np.ndarray) -> np.ndarray:
         """Sign planes unpacked along the last axis to int8 +-1 samples."""
         return unpack_signs(planes, self.n_ticks)
@@ -162,32 +200,27 @@ def orthogonality_report(sys: ReferenceSystem, ticks: int) -> Report:
 
     Covers every single wire, every distinct wire pair product, the
     same-wire squares (exactly 1), and product-vs-factor correlations.
-    Mean estimators carry a 5/sqrt(T) tolerance; squares carry zero.
+    Mean estimators carry a 5/sqrt(T) tolerance; squares carry zero. Each
+    estimate is (T - 2 * popcount) / T of a plane or an XOR of planes: the
+    same float as the mean of the int8 samples or products.
     """
-    if ticks < 1:
-        raise ValueError(f"need at least one tick, got {ticks}")
-    window = tick_range(ticks)
+    bank = WireBank.draw(sys, tick_range(ticks))
     wires = [(bit, value) for bit in range(sys.n_bits) for value in (0, 1)]
-    samples = {w: sys.sample(w[0], w[1], window) for w in wires}
+    planes = dict(zip(wires, bank.planes.reshape(len(wires), -1)))
+
+    def mean(plane: np.ndarray) -> float:
+        return (ticks - 2 * int(bank.count(plane))) / ticks
+
     tol = 5.0 / sqrt(ticks)
-    entries: list[StatEntry] = []
-    for w in wires:
-        entries.append(StatEntry(f"mean[W{w}]", float(samples[w].mean()), 0.0, tol, ticks))
-    for w in wires:
-        sq = samples[w].astype(np.int16) ** 2
-        entries.append(StatEntry(f"mean[W{w}^2]", float(sq.mean()), 1.0, 0.0, ticks))
-    for a in range(len(wires)):
-        for b in range(a + 1, len(wires)):
-            wa, wb = wires[a], wires[b]
-            prod = samples[wa] * samples[wb]
-            entries.append(StatEntry(f"mean[W{wa}*W{wb}]", float(prod.mean()), 0.0, tol, ticks))
+    entries = [StatEntry(f"mean[W{w}]", mean(planes[w]), 0.0, tol, ticks) for w in wires]
+    entries += [StatEntry(f"mean[W{w}^2]", mean(planes[w] ^ planes[w]), 1.0, 0.0, ticks) for w in wires]
+    for a, wa in enumerate(wires):
+        for wb in wires[a + 1 :]:
+            prod = planes[wa] ^ planes[wb]
+            entries.append(StatEntry(f"mean[W{wa}*W{wb}]", mean(prod), 0.0, tol, ticks))
             # The product is itself a fair telegraph wave; correlating it
             # against either factor reduces to the other factor's mean.
-            entries.append(
-                StatEntry(f"corr[W{wa}*W{wb}, W{wa}]", float((prod * samples[wa]).mean()), 0.0, tol, ticks)
-            )
-            entries.append(
-                StatEntry(f"corr[W{wa}*W{wb}, W{wb}]", float((prod * samples[wb]).mean()), 0.0, tol, ticks)
-            )
+            entries.append(StatEntry(f"corr[W{wa}*W{wb}, W{wa}]", mean(prod ^ planes[wa]), 0.0, tol, ticks))
+            entries.append(StatEntry(f"corr[W{wa}*W{wb}, W{wb}]", mean(prod ^ planes[wb]), 0.0, tol, ticks))
     footer = f"{{count}} estimators over {len(wires)} wires, {{failed}} outside tolerance"
     return Report(entries, footer)

@@ -23,12 +23,7 @@ from .compiler import (
     parse_circuit,
     random_cascade,
 )
-from .hyperspace import (
-    DEFAULT_EXPANSION_BUDGET,
-    Superposition,
-    oracle_apply,
-    superposition_signal,
-)
+from .hyperspace import Superposition, oracle_apply, superposition_signal
 from .reference import DEFAULT_SEED, ReferenceSystem, WireBank, tick_range
 from .report import Report
 
@@ -70,12 +65,11 @@ def signal_equivalence_check(
     circ: GateCircuit,
     y: Superposition,
     ticks: int = DEFAULT_TICKS,
-    budget: int = DEFAULT_EXPANSION_BUDGET,
 ) -> EquivalenceResult:
     """Compiled-program signal of `y` vs untransformed signal of the
     oracle-mapped superposition, exactly, at every tick."""
     amap = circuit_to_affine(circ)
-    return _bank_equivalence(sys, compile_to_insertions(amap), y, oracle_apply(amap, y, budget), ticks)
+    return _bank_equivalence(sys, compile_to_insertions(amap), y, oracle_apply(amap, y), ticks)
 
 
 def universe_invariance_check(

@@ -360,6 +360,19 @@ def test_membership_coefficient_uses_the_program_map():
     assert membership_coefficient(None, y, parse_bits("11")) == 7
 
 
+def test_out_of_range_strings_are_rejected_in_both_forms():
+    two_bit_prog = compile_circuit(parse_circuit("CNOT 0 1", n_bits=2))
+    for y in (Superposition.universe(3), Superposition.explicit(3, {1: 2})):
+        for string in (-1, 8):
+            with pytest.raises(ValueError):
+                y.coefficient(string)
+            # The inverse map would mask 8 to 0 before the lookup.
+            with pytest.raises(ValueError):
+                membership_coefficient(None, y, string)
+        with pytest.raises(ValueError):
+            membership_coefficient(two_bit_prog, y, 1)
+
+
 def test_membership_self_probe_reads_one():
     sys2 = ReferenceSystem(2, 42)
     y = Superposition.explicit(2, {3: 1})

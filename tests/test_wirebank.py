@@ -31,7 +31,7 @@ from rtwlogic.hyperspace import (
     superposition_sample,
     zero_fraction,
 )
-from rtwlogic.reference import ReferenceSystem, tick_range
+from rtwlogic.reference import ReferenceSystem, orthogonality_report, tick_range
 from rtwlogic.rng import coin_flips, stream_key
 from rtwlogic.verify import compare_signals, signal_equivalence_check, universe_invariance_check
 
@@ -153,6 +153,20 @@ def test_readouts_equal_the_int64_computation(ticks):
     signal = superposition_sample(system, None, pattern, window)
     fraction = zero_fraction(system, pattern, ticks).entries[0].estimate
     assert fraction == float(np.count_nonzero(signal == 0)) / ticks
+    small = ReferenceSystem(3, 1234)
+    samples = {(bit, value): small.sample(bit, value, window) for bit in range(3) for value in (0, 1)}
+    products = {}
+    for w, s in samples.items():
+        products[f"mean[W{w}]"] = s
+        products[f"mean[W{w}^2]"] = s * s
+    for (wa, sa), (wb, sb) in itertools.combinations(samples.items(), 2):
+        products[f"mean[W{wa}*W{wb}]"] = sa * sb
+        products[f"corr[W{wa}*W{wb}, W{wa}]"] = sa * sb * sa
+        products[f"corr[W{wa}*W{wb}, W{wb}]"] = sa * sb * sb
+    report = orthogonality_report(small, ticks)
+    assert {e.name: e.estimate.hex() for e in report.entries} == {
+        name: float(np.mean(p)).hex() for name, p in products.items()
+    }
 
 
 # CNOT 0 1 then CNOT 1 0 compiles to three insertions; without any one of
