@@ -28,7 +28,7 @@ from .reference import (
     orthogonality_report,
     tick_range,
 )
-from .verify import canonical_suite, random_equivalence_trials
+from .verify import DEFAULT_TICKS, canonical_suite, random_equivalence_trials
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("figures", "random"), default="figures")
     p.add_argument("--trials", type=_positive, default=20,
                    help="random-suite trial count")
-    p.add_argument("--ticks", type=_positive, default=1024)
+    p.add_argument("--ticks", type=_positive, default=DEFAULT_TICKS)
     _add_seed_options(p)
     p.set_defaults(func=cmd_verify)
 

@@ -18,43 +18,35 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-NOT = "NOT"
-CNOT = "CNOT"
-
 
 @dataclass(frozen=True)
 class Gate:
-    """A single NOT or CNOT gate; `control` is None for NOT."""
+    """A NOT of `target`, or a CNOT when it has a `control`."""
 
-    kind: str
     target: int
     control: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (NOT, CNOT):
-            raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.target < 0:
             raise ValueError(f"negative target index {self.target}")
-        if self.kind == CNOT:
-            if self.control is None or self.control < 0:
+        if self.control is not None:
+            if self.control < 0:
                 raise ValueError(f"CNOT needs a non-negative control, got {self.control}")
             if self.control == self.target:
                 raise ValueError(f"CNOT control equals target ({self.target})")
-        elif self.control is not None:
-            raise ValueError("NOT takes no control")
 
     def to_text(self) -> str:
-        if self.kind == NOT:
+        if self.control is None:
             return f"NOT {self.target}"
         return f"CNOT {self.control} {self.target}"
 
 
 def not_gate(target: int) -> Gate:
-    return Gate(NOT, target)
+    return Gate(target)
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate(CNOT, target, control)
+    return Gate(target, control)
 
 
 @dataclass(frozen=True)
@@ -77,9 +69,7 @@ class GateCircuit:
         """Step-by-step bit-level simulation of one input string."""
         s = string
         for g in self.gates:
-            if g.kind == NOT:
-                s ^= 1 << g.target
-            elif (s >> g.control) & 1:
+            if g.control is None or (s >> g.control) & 1:
                 s ^= 1 << g.target
         return s
 
@@ -88,7 +78,7 @@ class GateCircuit:
 
     @property
     def is_pure_cnot(self) -> bool:
-        return all(g.kind == CNOT for g in self.gates)
+        return all(g.control is not None for g in self.gates)
 
     def to_text(self) -> str:
         return "\n".join(g.to_text() for g in self.gates)
@@ -225,7 +215,7 @@ def circuit_to_affine(circ: GateCircuit) -> AffineMapGF2:
     rows = [1 << t for t in range(circ.n_bits)]
     const = 0
     for g in circ.gates:
-        if g.kind == NOT:
+        if g.control is None:
             const ^= 1 << g.target
         else:
             rows[g.target] ^= rows[g.control]
@@ -260,10 +250,6 @@ class InsertionProgram:
                 raise ValueError(f"insertion {ins} out of range for n_bits={self.n_bits}")
             if ins.host_value not in (0, 1):
                 raise ValueError(f"host_value must be 0 or 1, got {ins.host_value}")
-
-    @classmethod
-    def empty(cls, n_bits: int) -> "InsertionProgram":
-        return cls(n_bits, frozenset())
 
     @classmethod
     def from_pairs(cls, n_bits: int, pairs: Iterable[tuple[int, int, int]]) -> "InsertionProgram":

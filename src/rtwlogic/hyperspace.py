@@ -42,8 +42,7 @@ def parse_bits(text: str) -> int:
 
 def format_bits(string: int, n_bits: int) -> str:
     """Int to bit-string text; inverse of parse_bits."""
-    if not 0 <= string < (1 << n_bits):
-        raise ValueError(f"string {string} out of range for n_bits={n_bits}")
+    _check_string(string, n_bits)
     return "".join("1" if (string >> i) & 1 else "0" for i in range(n_bits))
 
 
@@ -68,12 +67,10 @@ class Superposition:
         if (self.terms is None) == (self.allowed is None):
             raise ValueError("exactly one of terms/allowed must be given")
         if self.terms is not None:
-            top = 1 << self.n_bits
             seen = set()
             total = 0
             for s, c in self.terms:
-                if not 0 <= s < top:
-                    raise ValueError(f"string {s} out of range for n_bits={self.n_bits}")
+                _check_string(s, self.n_bits)
                 if c == 0:
                     raise ValueError("zero coefficients must be dropped")
                 if s in seen:

@@ -38,6 +38,8 @@ def as_tick_array(ticks) -> tuple[np.ndarray, bool]:
 
 def tick_range(n_ticks: int) -> np.ndarray:
     """The tick window [0, n_ticks) as a uint64 array."""
+    if isinstance(n_ticks, bool) or not isinstance(n_ticks, (int, np.integer)):
+        raise ValueError(f"tick count must be an integer, got {n_ticks!r}")
     if n_ticks < 1:
         raise ValueError(f"need at least one tick, got {n_ticks}")
     return np.arange(n_ticks, dtype=np.uint64)
@@ -62,39 +64,14 @@ class ReferenceSystem:
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
-    def _check_wire(self, bit: int, value: int) -> None:
+    def sample(self, bit: int, value: int, ticks):
+        """+-1 sample(s) of the reference wire (bit, value)."""
         if not 0 <= bit < self.n_bits:
             raise ValueError(f"bit index {bit} out of range for n_bits={self.n_bits}")
         if value not in (0, 1):
             raise ValueError(f"bit value must be 0 or 1, got {value}")
-
-    def _wire_key(self, bit: int, value: int) -> int:
-        self._check_wire(bit, value)
-        return stream_key(self.seed, 2 * bit + value)
-
-    def sample(self, bit: int, value: int, ticks):
-        """+-1 sample(s) of the reference wire (bit, value)."""
-        key = self._wire_key(bit, value)
         arr, scalar = as_tick_array(ticks)
-        out = coin_flips(key, arr)
-        return int(out[0]) if scalar else out
-
-    def not_operator(self, bit: int, ticks):
-        """The NOT operator of `bit`: the product of both its wires.
-
-        Multiplying any product-string signal by it swaps that string's
-        bit factor between the value-0 and value-1 wires.
-        """
-        arr, scalar = as_tick_array(ticks)
-        out = coin_flips(self._wire_key(bit, 0), arr) * coin_flips(self._wire_key(bit, 1), arr)
-        return int(out[0]) if scalar else out
-
-    def effective_sample(self, prog: InsertionProgram | None, bit: int, value: int, ticks):
-        """Wire (bit, value) after applying a program's inserted NOT operators."""
-        self._check_wire(bit, value)
-        arr, scalar = as_tick_array(ticks)
-        bank = WireBank.draw(self, arr).apply(prog)
-        out = bank.signs(bank.planes[bit, value])
+        out = coin_flips(stream_key(self.seed, 2 * bit + value), arr)
         return int(out[0]) if scalar else out
 
     def wire_table(self, prog: InsertionProgram | None, ticks: np.ndarray) -> np.ndarray:
@@ -133,8 +110,9 @@ class WireBank:
     def apply(self, prog: InsertionProgram | None) -> "WireBank":
         """The effective wires under a program's NOT insertions.
 
-        Operators are products of the raw reference wires, so they are all
-        built from this bank's planes before any host plane changes.
+        The NOT operator of a bit is the product of its two raw wires; times
+        either wire it gives the other. Operators are all built from this
+        bank's planes before any host plane changes.
         """
         if prog is None:
             return self

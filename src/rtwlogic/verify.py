@@ -29,6 +29,11 @@ from .report import Report
 
 DEFAULT_TICKS = 1024
 
+# Shape of each random trial: up to this many gates, bits and terms.
+TRIAL_MAX_GATES = 12
+TRIAL_MAX_BITS = 8
+TRIAL_MAX_TERMS = 32
+
 
 @dataclass(frozen=True)
 class EquivalenceResult:
@@ -156,9 +161,6 @@ class TrialsReport:
 def random_equivalence_trials(
     n_trials: int,
     seeds: tuple[int, ...] = (DEFAULT_SEED,),
-    max_gates: int = 12,
-    max_bits: int = 8,
-    max_terms: int = 32,
     ticks: int = DEFAULT_TICKS,
     draw_seed: int = 0,
 ) -> TrialsReport:
@@ -167,9 +169,9 @@ def random_equivalence_trials(
     rng = random.Random(draw_seed)
     report = TrialsReport()
     for _ in range(n_trials):
-        n_bits = rng.randint(2, max_bits)
-        circ = random_cascade(rng, n_bits, rng.randint(1, max_gates), not_rate=0.2)
-        y = random_explicit(rng, n_bits, max_terms)
+        n_bits = rng.randint(2, TRIAL_MAX_BITS)
+        circ = random_cascade(rng, n_bits, rng.randint(1, TRIAL_MAX_GATES), not_rate=0.2)
+        y = random_explicit(rng, n_bits, TRIAL_MAX_TERMS)
         for seed in seeds:
             system = ReferenceSystem(n_bits, seed)
             result = signal_equivalence_check(system, circ, y, ticks)

@@ -30,6 +30,9 @@ from rtwlogic.hyperspace import (
 )
 from rtwlogic.reference import ReferenceSystem, orthogonality_report, tick_range
 from rtwlogic.verify import (
+    TRIAL_MAX_BITS,
+    TRIAL_MAX_GATES,
+    TRIAL_MAX_TERMS,
     canonical_suite,
     random_equivalence_trials,
     signal_equivalence_check,
@@ -89,18 +92,17 @@ def test_criterion_1_canonical_circuits_compile_exactly():
 
 
 def test_criterion_2_random_circuits_match_the_bit_oracle():
+    # the criterion's trial shape: up to 12 gates on up to 8 bits, up to 32 terms
+    shape = (TRIAL_MAX_GATES, TRIAL_MAX_BITS, TRIAL_MAX_TERMS)
     start = time.perf_counter()
     report = random_equivalence_trials(
         100,
         seeds=(42, 1, 12345),
-        max_gates=12,
-        max_bits=8,
-        max_terms=32,
         ticks=1024,
         draw_seed=2024,
     )
     elapsed = time.perf_counter() - start
-    ok = report.passed and len(report.trials) == 300 and elapsed < 60.0
+    ok = report.passed and len(report.trials) == 300 and shape == (12, 8, 32) and elapsed < 60.0
     _finish(
         2,
         ok,

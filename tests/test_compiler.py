@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rtwlogic.compiler import (
     AffineMapGF2,
     CircuitParseError,
+    Gate,
     GateCircuit,
     Insertion,
     InsertionProgram,
@@ -117,6 +118,12 @@ def test_gate_validation():
         cnot(1, 1)
     with pytest.raises(ValueError):
         not_gate(-1)
+    with pytest.raises(ValueError):
+        cnot(-1, 0)
+    with pytest.raises(ValueError):
+        Gate(-1)
+    with pytest.raises(ValueError):
+        Gate(0, 0)
 
 
 def test_apply_not_flips_one_bit():

@@ -5,7 +5,8 @@ and the per-tick algebraic identities that hold exactly (not statistically).
 import numpy as np
 import pytest
 
-from rtwlogic.compiler import InsertionProgram, compile_circuit, parse_circuit
+from rtwlogic.compiler import GateCircuit, InsertionProgram, cnot, compile_circuit, parse_circuit
+from rtwlogic.hyperspace import Superposition, membership_estimate, zero_fraction
 from rtwlogic.reference import (
     MAX_BITS,
     ReferenceSystem,
@@ -13,6 +14,7 @@ from rtwlogic.reference import (
     orthogonality_report,
     tick_range,
 )
+from rtwlogic.verify import signal_equivalence_check
 
 WINDOW = tick_range(512)
 
@@ -20,6 +22,19 @@ WINDOW = tick_range(512)
 @pytest.fixture(scope="module")
 def sys4():
     return ReferenceSystem(4, 42)
+
+
+def pair_product(sys, bit, ticks):
+    """The NOT operator of `bit` as the paper defines it: the product of
+    the bit's two reference wires."""
+    return sys.sample(bit, 0, ticks) * sys.sample(bit, 1, ticks)
+
+
+def inserted_operator(sys, target, ticks, host=(0, 0)):
+    """The NOT operator of `target` as the library builds it: the factor
+    one insertion multiplies into its host wire."""
+    prog = InsertionProgram.from_pairs(sys.n_bits, [(*host, target)])
+    return sys.wire_table(prog, ticks)[host] * sys.sample(*host, ticks)
 
 
 def test_samples_are_plus_minus_one_and_deterministic(sys4):
@@ -61,9 +76,11 @@ def test_golden_samples():
 
 
 def test_not_operator_is_the_wire_pair_product(sys4):
-    inv = sys4.not_operator(3, WINDOW)
+    inv = inserted_operator(sys4, 3, WINDOW)
     prod = sys4.sample(3, 0, WINDOW) * sys4.sample(3, 1, WINDOW)
     assert np.array_equal(inv, prod)
+    # the operator does not depend on the wire that hosts it
+    assert np.array_equal(inserted_operator(sys4, 3, WINDOW, host=(2, 1)), prod)
     # concrete corner: where the pair is (+1, -1) the product is -1
     idx = np.nonzero(
         (sys4.sample(3, 0, WINDOW) == 1) & (sys4.sample(3, 1, WINDOW) == -1)
@@ -72,19 +89,21 @@ def test_not_operator_is_the_wire_pair_product(sys4):
 
 
 def test_not_operator_squares_to_one(sys4):
-    inv = sys4.not_operator(2, WINDOW).astype(np.int16)
+    inv = inserted_operator(sys4, 2, WINDOW).astype(np.int16)
     assert np.all(inv * inv == 1)
 
 
 def test_not_operator_swaps_the_wire_pair(sys4):
     # multiplying a wire by its bit's NOT operator yields the other wire,
-    # exactly, at every tick
+    # exactly, at every tick: hosting bit b's operator on both of b's wires
+    # swaps them
     for bit in range(4):
-        inv = sys4.not_operator(bit, WINDOW)
+        prog = InsertionProgram.from_pairs(4, [(bit, 0, bit), (bit, 1, bit)])
+        table = sys4.wire_table(prog, WINDOW)
         w0 = sys4.sample(bit, 0, WINDOW)
         w1 = sys4.sample(bit, 1, WINDOW)
-        assert np.array_equal(w0 * inv, w1)
-        assert np.array_equal(w1 * inv, w0)
+        assert np.array_equal(table[bit, 0], w1)
+        assert np.array_equal(table[bit, 1], w0)
 
 
 def test_pair_product_times_factor_recovers_other_factor(sys4):
@@ -95,14 +114,14 @@ def test_pair_product_times_factor_recovers_other_factor(sys4):
 
 
 def test_empty_program_is_the_identity(sys4):
-    empty = InsertionProgram.empty(4)
+    empty = InsertionProgram(4)
     for wire in ((0, 0), (1, 1), (3, 0)):
         assert np.array_equal(
-            sys4.effective_sample(empty, *wire, WINDOW),
+            sys4.wire_table(empty, WINDOW)[wire],
             sys4.sample(*wire, WINDOW),
         )
         assert np.array_equal(
-            sys4.effective_sample(None, *wire, WINDOW),
+            sys4.wire_table(None, WINDOW)[wire],
             sys4.sample(*wire, WINDOW),
         )
 
@@ -114,10 +133,10 @@ def test_single_insertion_multiplies_host_by_target_operator(sys4):
         * sys4.sample(2, 0, WINDOW)
         * sys4.sample(2, 1, WINDOW)
     )
-    assert np.array_equal(sys4.effective_sample(prog, 1, 1, WINDOW), want)
+    assert np.array_equal(sys4.wire_table(prog, WINDOW)[1, 1], want)
     # other wires untouched
     assert np.array_equal(
-        sys4.effective_sample(prog, 1, 0, WINDOW),
+        sys4.wire_table(prog, WINDOW)[1, 0],
         sys4.sample(1, 0, WINDOW),
     )
 
@@ -126,7 +145,7 @@ def test_double_insertion_cancels_at_every_tick(sys4):
     cancelled = InsertionProgram.from_pairs(4, [(1, 1, 2), (1, 1, 2)])
     assert cancelled.m == 0
     assert np.array_equal(
-        sys4.effective_sample(cancelled, 1, 1, WINDOW),
+        sys4.wire_table(cancelled, WINDOW)[1, 1],
         sys4.sample(1, 1, WINDOW),
     )
 
@@ -135,14 +154,13 @@ def test_inserted_operators_use_base_wires_even_on_modified_hosts(sys4):
     # a NOT operator inserted onto a wire that itself hosts insertions must
     # still be built from the untouched reference pair
     prog = compile_circuit(parse_circuit("CNOT 0 1\nCNOT 1 2", n_bits=4))
-    inv1 = sys4.not_operator(1, WINDOW)
-    inv2 = sys4.not_operator(2, WINDOW)
+    inv1 = pair_product(sys4, 1, WINDOW)
+    inv2 = pair_product(sys4, 2, WINDOW)
     base01 = sys4.sample(0, 1, WINDOW)
+    table = sys4.wire_table(prog, WINDOW)
+    assert np.array_equal(table[0, 1], base01 * inv1 * inv2)
     assert np.array_equal(
-        sys4.effective_sample(prog, 0, 1, WINDOW), base01 * inv1 * inv2
-    )
-    assert np.array_equal(
-        sys4.effective_sample(prog, 1, 1, WINDOW),
+        table[1, 1],
         sys4.sample(1, 1, WINDOW) * inv2,
     )
 
@@ -154,10 +172,12 @@ def test_wire_table_matches_per_wire_sampling(sys4):
         assert table.shape == (4, 2, len(WINDOW))
         for bit in range(4):
             for value in (0, 1):
-                assert np.array_equal(
-                    table[bit, value],
-                    sys4.effective_sample(given, bit, value, WINDOW),
-                )
+                want = sys4.sample(bit, value, WINDOW)
+                hosted = given.insertions if given is not None else ()
+                for ins in hosted:
+                    if (ins.host_bit, ins.host_value) == (bit, value):
+                        want = want * pair_product(sys4, ins.target, WINDOW)
+                assert np.array_equal(table[bit, value], want)
 
 
 def test_orthogonality_report_structure_and_pass():
@@ -189,6 +209,26 @@ def test_validation_errors():
         as_tick_array(2.5)
     with pytest.raises(ValueError):
         orthogonality_report(sys2, 0)
+
+
+@pytest.mark.parametrize("ticks", [2.5, 3.0, np.float64(3.0), True], ids=["2.5", "3.0", "float64", "bool"])
+def test_tick_counts_must_be_integers(ticks):
+    # a fractional count would draw ceil(T) ticks and divide by T itself
+    sys2 = ReferenceSystem(2, 1)
+    universe = Superposition.universe(2)
+    with pytest.raises(ValueError, match="integer"):
+        tick_range(ticks)
+    with pytest.raises(ValueError, match="integer"):
+        orthogonality_report(sys2, ticks)
+    with pytest.raises(ValueError, match="integer"):
+        zero_fraction(sys2, universe, ticks)
+    with pytest.raises(ValueError, match="integer"):
+        membership_estimate(sys2, None, universe, 0, ticks)
+    with pytest.raises(ValueError, match="integer"):
+        signal_equivalence_check(sys2, GateCircuit(2, (cnot(0, 1),)), universe, ticks=ticks)
+    # NumPy integers are counts too
+    assert np.array_equal(tick_range(np.int64(3)), tick_range(3))
+    assert zero_fraction(sys2, universe, np.uint16(8)).entries[0].sample_count == 8
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42])

@@ -134,7 +134,7 @@ def test_bank_matches_the_int8_reference(case):
     assert np.array_equal(signal, reference_signal(system, prog, y, window))
     assert np.array_equal(string_signal, reference_string(wires, string))
     assert np.array_equal(system.wire_table(prog, window), wires)
-    assert np.array_equal(system.effective_sample(prog, 0, 1, window), wires[0, 1])
+    assert np.array_equal(system.wire_table(prog, window)[0, 1], wires[0, 1])
 
 
 @pytest.mark.parametrize("ticks", [1, 7, 8, 513, 4096])
