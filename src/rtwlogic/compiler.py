@@ -16,7 +16,19 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterable, NamedTuple
+
+import numpy as np
+
+
+def _check_int(value, name: str, start=-inf, stop=inf) -> None:
+    """Accept an int or NumPy integer in [start, stop); reject everything
+    else, bool included."""
+    if type(value) is not int and not isinstance(value, np.integer):  # a bool's type is not int
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not start <= value < stop:
+        raise ValueError(f"{name} {value} out of range [{start}, {stop})")
 
 
 @dataclass(frozen=True)
@@ -27,11 +39,9 @@ class Gate:
     control: int | None = None
 
     def __post_init__(self) -> None:
-        if self.target < 0:
-            raise ValueError(f"negative target index {self.target}")
+        _check_int(self.target, "target", 0)
         if self.control is not None:
-            if self.control < 0:
-                raise ValueError(f"CNOT needs a non-negative control, got {self.control}")
+            _check_int(self.control, "control", 0)
             if self.control == self.target:
                 raise ValueError(f"CNOT control equals target ({self.target})")
 
@@ -58,8 +68,7 @@ class GateCircuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.n_bits < 1:
-            raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
+        _check_int(self.n_bits, "n_bits", 1)
         for g in self.gates:
             top = g.target if g.control is None else max(g.target, g.control)
             if top >= self.n_bits:
@@ -129,12 +138,9 @@ def parse_circuit(text: str, n_bits: int | None = None) -> GateCircuit:
 
 def _parse_index(token: str) -> int:
     try:
-        value = int(token, 10)
+        return int(token, 10)
     except ValueError:
         raise ValueError(f"bad index {token!r}") from None
-    if value < 0:
-        raise ValueError(f"negative index {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -245,11 +251,11 @@ class InsertionProgram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "insertions", frozenset(self.insertions))
+        _check_int(self.n_bits, "n_bits", 1)
         for ins in self.insertions:
-            if not (0 <= ins.host_bit < self.n_bits and 0 <= ins.target < self.n_bits):
-                raise ValueError(f"insertion {ins} out of range for n_bits={self.n_bits}")
-            if ins.host_value not in (0, 1):
-                raise ValueError(f"host_value must be 0 or 1, got {ins.host_value}")
+            _check_int(ins.host_bit, "host_bit", 0, self.n_bits)
+            _check_int(ins.host_value, "host_value", 0, 2)
+            _check_int(ins.target, "target", 0, self.n_bits)
 
     @classmethod
     def from_pairs(cls, n_bits: int, pairs: Iterable[tuple[int, int, int]]) -> "InsertionProgram":

@@ -19,7 +19,7 @@ from math import sqrt
 
 import numpy as np
 
-from .compiler import AffineMapGF2, InsertionProgram, affine_of_program
+from .compiler import AffineMapGF2, InsertionProgram, _check_int, affine_of_program
 from .reference import ReferenceSystem, WireBank, as_tick_array, tick_range
 from .report import Report, StatEntry
 
@@ -62,8 +62,7 @@ class Superposition:
     allowed: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_bits:
-            raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
+        _check_int(self.n_bits, "n_bits", 1)
         if (self.terms is None) == (self.allowed is None):
             raise ValueError("exactly one of terms/allowed must be given")
         if self.terms is not None:
@@ -71,6 +70,7 @@ class Superposition:
             total = 0
             for s, c in self.terms:
                 _check_string(s, self.n_bits)
+                _check_int(c, "coefficient")
                 if c == 0:
                     raise ValueError("zero coefficients must be dropped")
                 if s in seen:
@@ -83,6 +83,8 @@ class Superposition:
             if len(self.allowed) != self.n_bits:
                 raise ValueError(f"pattern needs {self.n_bits} entries, got {len(self.allowed)}")
             for vals in self.allowed:
+                for value in vals:
+                    _check_int(value, "allowed value")
                 if tuple(vals) not in ((0,), (1,), (0, 1)):
                     raise ValueError(f"bad allowed-value set {vals!r}")
 
@@ -93,6 +95,8 @@ class Superposition:
         merged: dict[int, int] = {}
         items = coefficients.items() if hasattr(coefficients, "items") else coefficients
         for s, c in items:
+            # before the sum, which would turn True into 1
+            _check_int(c, "coefficient")
             merged[s] = merged.get(s, 0) + c
         terms = tuple(sorted((s, c) for s, c in merged.items() if c != 0))
         return cls(n_bits, terms=terms)
@@ -211,7 +215,10 @@ def parse_superposition(text: str, n_bits: int | None = None) -> Superposition:
         return Superposition.universe(n_bits)
     if ";" not in spec and set(spec) <= {"0", "1", "*"}:
         if n_bits is not None and len(spec) != n_bits:
-            raise ValueError(f"spec {spec!r} has {len(spec)} bits, expected {n_bits}")
+            term = _CHUNK_RE.match(spec)
+            as_term = term and term.group("coeff") and len(term.group("bits")) == n_bits
+            hint = f"; a one-term list is written {spec + ';'!r}" if as_term else ""
+            raise ValueError(f"spec {spec!r} has {len(spec)} bits, expected {n_bits}{hint}")
         if "*" in spec:
             return Superposition.pattern(tuple((0, 1) if ch == "*" else (int(ch),) for ch in spec))
         return Superposition.explicit(len(spec), {parse_bits(spec): 1})
@@ -308,8 +315,7 @@ def _check_width(y: Superposition, n_bits: int) -> None:
 
 
 def _check_string(string: int, n_bits: int) -> None:
-    if not 0 <= string < (1 << n_bits):
-        raise ValueError(f"string {string} out of range for n_bits={n_bits}")
+    _check_int(string, "string", 0, 1 << n_bits)
 
 
 def oracle_apply(affine: AffineMapGF2, y: Superposition) -> Superposition:

@@ -13,7 +13,7 @@ from math import sqrt
 
 import numpy as np
 
-from .compiler import InsertionProgram
+from .compiler import InsertionProgram, _check_int
 from .report import Report, StatEntry
 from .rng import coin_flips, sign_planes, stream_key, unpack_signs
 
@@ -38,10 +38,7 @@ def as_tick_array(ticks) -> tuple[np.ndarray, bool]:
 
 def tick_range(n_ticks: int) -> np.ndarray:
     """The tick window [0, n_ticks) as a uint64 array."""
-    if isinstance(n_ticks, bool) or not isinstance(n_ticks, (int, np.integer)):
-        raise ValueError(f"tick count must be an integer, got {n_ticks!r}")
-    if n_ticks < 1:
-        raise ValueError(f"need at least one tick, got {n_ticks}")
+    _check_int(n_ticks, "tick count", 1)
     return np.arange(n_ticks, dtype=np.uint64)
 
 
@@ -58,18 +55,14 @@ class ReferenceSystem:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_bits <= MAX_BITS:
-            raise ValueError(f"n_bits must be in [1, {MAX_BITS}], got {self.n_bits}")
+        _check_int(self.n_bits, "n_bits", 1, MAX_BITS + 1)
         # Stream keys reduce the seed mod 2**64; a wider seed would alias.
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        _check_int(self.seed, "seed", 0, 1 << 64)
 
     def sample(self, bit: int, value: int, ticks):
         """+-1 sample(s) of the reference wire (bit, value)."""
-        if not 0 <= bit < self.n_bits:
-            raise ValueError(f"bit index {bit} out of range for n_bits={self.n_bits}")
-        if value not in (0, 1):
-            raise ValueError(f"bit value must be 0 or 1, got {value}")
+        _check_int(bit, "bit index", 0, self.n_bits)
+        _check_int(value, "bit value", 0, 2)
         arr, scalar = as_tick_array(ticks)
         out = coin_flips(stream_key(self.seed, 2 * bit + value), arr)
         return int(out[0]) if scalar else out

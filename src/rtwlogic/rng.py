@@ -4,10 +4,14 @@ Every sample is a pure function of (seed, channel, tick): a SplitMix64-style
 finalizer is applied twice, once to derive a per-channel stream key and once
 per tick counter. This makes sampling random-access and order-independent,
 so tick ranges can be evaluated in any order, in parallel, and reproduce
-bit-for-bit.
+bit-for-bit. Large draws are hashed on one thread per CPU the process may
+run on.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -25,7 +29,37 @@ _SHIFT_B = np.uint64(27)
 _SHIFT_C = np.uint64(31)
 
 # Hashes per tile in sign_planes: two 512 KiB uint64 buffers stay in L2.
+# Each worker thread of a large draw hashes tiles of this size too.
 _TILE = 1 << 16
+# Draws of at least this many hashes (keys x ticks) run on _WORKERS threads;
+# smaller ones are serial and start no pool. On a 2-core host, two threads
+# were slower than one below about 2^19 hashes and 1.16x faster at 2^20.
+_PARALLEL_MIN = 1 << 20
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _reset_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _executor():
+    """The process's hashing thread pool, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="rtwlogic-hash")
+        return _pool
 
 
 def mix64(x: int) -> int:
@@ -58,7 +92,8 @@ def stream_key(seed: int, channel: int) -> int:
     """Derive the 64-bit stream key of one channel under a seed."""
     if channel < 0:
         raise ValueError(f"channel must be non-negative, got {channel}")
-    return mix64(mix64(seed) + _GOLDEN * (channel + 1))
+    # Python ints: a NumPy integer would wrap or overflow in these sums.
+    return mix64(mix64(int(seed)) + _GOLDEN * (int(channel) + 1))
 
 
 def coin_flip(key: int, tick: int) -> int:
@@ -86,23 +121,41 @@ def sign_planes(keys, ticks: np.ndarray) -> np.ndarray:
     Row w of the uint8 result holds stream keys[w] in little bit order: bit j
     is 1 where the sample at ticks[j] is -1. Rows are padded with zero bits
     to whole 64-bit words, so XOR, OR and popcount over a row need no mask.
-    Each hash is computed once, in place, over tiles small enough to stay
-    in cache.
+    Each hash is computed once, in place, over tiles of whole 64-tick words
+    small enough to stay in cache. A large draw's tiles are shared out
+    among worker threads, and every tile writes its own words of the result.
     """
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
     n = ticks.size
     planes = np.zeros((keys.shape[0], 8 * -(-n // 64)), dtype=np.uint8)
-    step = max(8, _TILE // keys.shape[0] // 8 * 8)
-    width = min(step, n)
-    h = np.empty((keys.shape[0], width), dtype=np.uint64)
-    tmp = np.empty_like(h)
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        hs, ts = h[:, : stop - start], tmp[:, : stop - start]
-        np.multiply(ticks[start:stop], _GOLDEN_U64, out=ts[0])
+    step = max(64, _TILE // keys.shape[0] // 64 * 64)
+    workers = min(_WORKERS, -(-n // step)) if keys.size * n >= _PARALLEL_MIN else 1
+    # Each worker takes the next tile from one shared iterator (a single call
+    # under the interpreter lock), so a worker on a busy core takes fewer.
+    starts = iter(range(0, n, step))
+    jobs = []
+    for _ in range(workers):
+        # The caller allocates every worker's scratch: what a worker thread
+        # allocates goes to that thread's own malloc arena and stays resident.
+        scratch = np.empty((2, keys.shape[0], min(step, n)), dtype=np.uint64)
+        jobs.append((keys, ticks, planes, starts, step, scratch))
+    if workers > 1:
+        for future in [_executor().submit(_hash_tiles, *job) for job in jobs]:
+            future.result()
+    else:
+        _hash_tiles(*jobs[0])
+    return planes
+
+
+def _hash_tiles(keys, ticks, planes, starts, step: int, scratch: np.ndarray) -> None:
+    """Hash the `step` ticks from each start in `starts` into `planes`."""
+    h, tmp = scratch
+    for lo in starts:
+        hi = min(ticks.size, lo + step)
+        hs, ts = h[:, : hi - lo], tmp[:, : hi - lo]
+        np.multiply(ticks[lo:hi], _GOLDEN_U64, out=ts[0])
         np.add(keys, ts[0], out=hs)
         _mix64_array(hs, ts)
         # The top bit alone decides the sample: set means +1.
         negative = np.less(hs, _TOP_BIT_U64)
-        planes[:, start // 8 : (stop + 7) // 8] = np.packbits(negative, axis=1, bitorder="little")
-    return planes
+        planes[:, lo // 8 : (hi + 7) // 8] = np.packbits(negative, axis=1, bitorder="little")

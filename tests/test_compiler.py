@@ -7,6 +7,7 @@ about affine maps and compiled programs is checked against it.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,58 @@ def test_gate_validation():
         Gate(-1)
     with pytest.raises(ValueError):
         Gate(0, 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Gate(1.5), lambda: Gate(True), lambda: cnot(0.0, 1), lambda: Gate(2, np.float64(1.0))],
+    ids=["Gate(1.5)", "Gate(True)", "cnot(0.0, 1)", "Gate(2, float64)"],
+)
+def test_gate_indices_must_be_integers(make):
+    # Gate(True) acted on bit 1 and cnot(0.0, 1) rendered "CNOT 0.0 1"
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
+def test_numpy_integer_indices_are_accepted():
+    assert cnot(np.int64(0), np.uint8(2)).to_text() == "CNOT 0 2"
+    prog = InsertionProgram(np.int64(3), [Insertion(np.int32(2), np.uint8(1), np.int64(0))])
+    assert prog.insertions == {Insertion(2, 1, 0)}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: InsertionProgram(2, [Insertion(0, True, 1)]),
+        lambda: InsertionProgram.from_pairs(2, [(0, True, 1)]),
+        lambda: InsertionProgram(2, [Insertion(0.0, 1, 1)]),
+        lambda: InsertionProgram(2.0, []),
+    ],
+    ids=["Insertion(0, True, 1)", "from_pairs bool", "float host_bit", "float n_bits"],
+)
+def test_insertions_must_use_integers(make):
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
+def indices():
+    return st.one_of(
+        st.integers(-2, 40),
+        st.integers(0, 40).map(np.int64),
+        st.booleans(),
+        st.floats(-1, 40),
+        st.sampled_from([None, "1", 2**70]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(indices(), indices())
+def test_every_accepted_gate_reads_back_from_its_text(target, control):
+    try:
+        gate = Gate(target, control)
+    except ValueError:
+        return
+    assert parse_circuit(gate.to_text()).gates == (gate,)
 
 
 def test_apply_not_flips_one_bit():

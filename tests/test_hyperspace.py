@@ -172,6 +172,44 @@ def test_parse_checks_width_against_context():
         parse_superposition("10;110", n_bits=2)
 
 
+def test_width_error_on_a_lone_term_says_how_to_write_it():
+    with pytest.raises(ValueError, match="a one-term list is written '1\\*011;'"):
+        parse_superposition("1*011", n_bits=3)
+    assert parse_superposition("1*011;", n_bits=3) == Superposition.explicit(3, {0b110: 1})
+    # no hint where the text cannot be read as one term of that width
+    for text, n_bits in (("0110", 3), ("*1*", 4), ("1*0110", 3)):
+        with pytest.raises(ValueError) as err:
+            parse_superposition(text, n_bits=n_bits)
+        assert "one-term" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Superposition.explicit(2, {1: 1.5}),
+        lambda: Superposition.explicit(2, {1: True}),
+        lambda: Superposition.explicit(2, [(1, 2), (1, np.float64(1.0))]),
+        lambda: Superposition(2, terms=((1, 1.5),)),
+        lambda: Superposition.explicit(2, {True: 1}),
+        lambda: Superposition.pattern([(True,), (0, 1)]),
+        lambda: Superposition(2, allowed=((1.0,), (0, 1))),
+    ],
+    ids=["1.5", "True", "float64 in a sum", "constructor 1.5", "bool string", "bool value", "float value"],
+)
+def test_superposition_inputs_must_be_integers(make):
+    # 1.5 was truncated to 1 in the signal, while membership_estimate expected 1.5
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
+def test_numpy_integer_coefficients_are_accepted(sys3):
+    y = Superposition.explicit(3, {np.int64(5): np.int32(-2), 3: np.uint8(4)})
+    want = Superposition.explicit(3, {5: -2, 3: 4})
+    assert y == want
+    signal = superposition_sample(sys3, None, y, WINDOW)
+    assert np.array_equal(signal, superposition_sample(sys3, None, want, WINDOW))
+
+
 @settings(max_examples=80, deadline=None)
 @given(explicit_superpositions())
 def test_text_round_trip(y):

@@ -231,6 +231,25 @@ def test_tick_counts_must_be_integers(ticks):
     assert zero_fraction(sys2, universe, np.uint16(8)).entries[0].sample_count == 8
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ReferenceSystem(2.0, 1),
+        lambda: ReferenceSystem(True, 1),
+        lambda: ReferenceSystem(2, 1).sample(True, 0, 3),
+        lambda: ReferenceSystem(2, 1).sample(0, True, 3),
+    ],
+    ids=["n_bits 2.0", "n_bits True", "sample(True, 0)", "sample(0, True)"],
+)
+def test_bits_and_values_must_be_integers(make):
+    # sample(True, 0, 3) read wire (1, 0)
+    with pytest.raises(ValueError, match="integer"):
+        make()
+    system = ReferenceSystem(np.int64(2), np.uint64(1))
+    want = ReferenceSystem(2, 1).sample(1, 0, WINDOW)
+    assert np.array_equal(system.sample(np.uint8(1), np.int64(0), WINDOW), want)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42])
 def test_seeds_outside_64_bits_are_rejected(seed):
     # 2**64 + 42 would otherwise draw seed 42's streams under another name

@@ -1,8 +1,14 @@
-"""Keyed counter-based generator: determinism, golden values, fairness."""
+"""Keyed counter-based generator: determinism, golden values, fairness,
+and the same planes from any number of hashing threads."""
+
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from rtwlogic import rng
 from rtwlogic.rng import _mix64_array, coin_flip, coin_flips, mix64, sign_planes, stream_key
 
 MASK64 = (1 << 64) - 1
@@ -81,3 +87,107 @@ def test_flip_mean_is_fair_at_five_sigma():
     ticks = np.arange(1_000_000, dtype=np.uint64)
     mean = coin_flips(stream_key(42, 0), ticks).astype(np.float64).mean()
     assert abs(mean) <= 5.0 / np.sqrt(1_000_000)
+
+
+def planes_per_worker_count(monkeypatch, keys, ticks) -> list[np.ndarray]:
+    out = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(rng, "_WORKERS", workers)
+        out.append(sign_planes(keys, ticks))
+    return out
+
+
+@pytest.mark.parametrize("n_keys", range(1, 41))
+def test_sign_planes_do_not_depend_on_the_worker_count(n_keys, monkeypatch):
+    # A low threshold and small tiles give every worker several tiles, the
+    # last one ragged, while the draws stay small.
+    monkeypatch.setattr(rng, "_PARALLEL_MIN", 1 << 12)
+    monkeypatch.setattr(rng, "_TILE", 1 << 10)
+    keys = [stream_key(5, ch) for ch in range(n_keys)]
+    edge = -(-rng._PARALLEL_MIN // n_keys)  # fewest ticks drawn on threads
+    gen = np.random.default_rng(n_keys)
+    for n in sorted({0, 1, 63, 64, 65, 191, 64 * 11 - 1, 64 * 11 + 1, edge - 1, edge, edge + 1, 4097}):
+        offset = gen.integers(0, 2**40, dtype=np.uint64)
+        wide = gen.integers(0, 2**63, size=2 * n, dtype=np.uint64)
+        windows = (np.arange(n, dtype=np.uint64) + offset, gen.permutation(n).astype(np.uint64), wide[::2])
+        for ticks in windows:
+            serial, *threaded = planes_per_worker_count(monkeypatch, keys, ticks)
+            for planes in threaded:
+                assert np.array_equal(planes, serial), (n, ticks[:3])
+
+
+@pytest.mark.parametrize("n_keys", [1, 16, 17, 40])
+def test_the_parallel_threshold_changes_no_plane(n_keys, monkeypatch):
+    # At 16 keys the threshold falls at 2^16 ticks: 64k - 1 is serial, 64k
+    # and 64k + 1 are threaded.
+    edge = -(-rng._PARALLEL_MIN // n_keys)
+    keys = [stream_key(9, ch) for ch in range(n_keys)]
+    for n in (edge - 1, edge, edge + 1):
+        serial, *threaded = planes_per_worker_count(monkeypatch, keys, np.arange(n, dtype=np.uint64))
+        for planes in threaded:
+            assert np.array_equal(planes, serial)
+        rows = (0, n_keys - 1)
+        bits = np.unpackbits(serial[rows, :], axis=1, bitorder="little")
+        for row, key in zip(bits, (keys[0], keys[-1])):
+            ticks = (0, n // 2, n - 1)
+            assert [row[t] == 1 for t in ticks] == [coin_flip(key, t) == -1 for t in ticks]
+
+
+def test_small_draws_start_no_pool(monkeypatch):
+    monkeypatch.setattr(rng, "_pool", None)
+    monkeypatch.setattr(rng, "_WORKERS", 2)
+    # the largest draw of a random-verify trial: 8 bits x 2 wires x 1024 ticks
+    sign_planes([stream_key(1, ch) for ch in range(16)], np.arange(1024, dtype=np.uint64))
+    assert rng._pool is None
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    # More workers than cores and a short switch interval: callers racing
+    # to create the pool must end up with one pool and the serial planes.
+    keys = [stream_key(11, ch) for ch in range(7)]
+    ticks = np.arange(5000, dtype=np.uint64)
+    want = sign_planes(keys, ticks)
+    monkeypatch.setattr(rng, "_pool", None)
+    monkeypatch.setattr(rng, "_WORKERS", 3)
+    monkeypatch.setattr(rng, "_PARALLEL_MIN", 1 << 10)
+    seen = []
+
+    def draw() -> None:
+        for _ in range(20):
+            seen.append((rng._executor(), np.array_equal(sign_planes(keys, ticks), want)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=draw) for _ in range(6)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(seen) == 120 and all(same for _, same in seen)
+    assert len({id(pool) for pool, _ in seen}) == 1
+    rng._pool.shutdown()
+
+
+def _draw_and_compare(keys, ticks, want) -> None:
+    sys.exit(0 if np.array_equal(sign_planes(keys, ticks), want) else 1)
+
+
+def test_a_forked_child_hashes_on_its_own_pool(monkeypatch):
+    # The child inherits the parent's pool object but not its threads.
+    monkeypatch.setattr(rng, "_WORKERS", 2)
+    keys = [stream_key(3, ch) for ch in range(16)]
+    ticks = np.arange(rng._PARALLEL_MIN // 16 + 77, dtype=np.uint64)
+    want = sign_planes(keys, ticks)
+    assert rng._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_draw_and_compare, args=(keys, ticks, want))
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0

@@ -1,14 +1,25 @@
 """End-to-end equivalence: compiled wire programs against the bit-level
 oracle, universe invariance, and the canonical circuit suite."""
 
+import random
+
 import numpy as np
 import pytest
 
-from rtwlogic.compiler import GateCircuit, cnot, interacting_chain, not_gate
-from rtwlogic.hyperspace import Superposition, parse_superposition
-from rtwlogic.reference import ReferenceSystem
+from rtwlogic.compiler import (
+    GateCircuit,
+    InsertionProgram,
+    cnot,
+    compile_circuit,
+    interacting_chain,
+    not_gate,
+    random_cascade,
+)
+from rtwlogic.hyperspace import Superposition, parse_superposition, superposition_signal
+from rtwlogic.reference import ReferenceSystem, WireBank, tick_range
 from rtwlogic.verify import (
     CANONICAL_CIRCUITS,
+    _bank_equivalence,
     EquivalenceResult,
     canonical_suite,
     compare_signals,
@@ -83,6 +94,40 @@ def test_universe_invariance_for_cnot_cascades():
     circ = interacting_chain(7)
     res = universe_invariance_check(sys8, circ, ticks=4096)
     assert res.passed and res.ticks_checked == 4096
+
+
+def random_pattern(rng: random.Random, n_bits: int, free: int) -> Superposition:
+    free_bits = set(rng.sample(range(n_bits), free))
+    return Superposition.pattern([(0, 1) if b in free_bits else (rng.randint(0, 1),) for b in range(n_bits)])
+
+
+def test_packed_pattern_compare_matches_the_int64_compare():
+    # Pattern pairs with equal free-bit counts are compared on packed planes;
+    # the result must be the one the int64 signals give, first mismatch
+    # included, on windows that are not whole 64-tick words.
+    rng = random.Random(2024)
+    outcomes = []
+    for case in range(400):
+        n_bits = rng.randint(2, 7)
+        if case % 4 == 0:
+            # a CNOT cascade permutes the universe: these cases pass
+            y = expected_y = Superposition.universe(n_bits)
+            prog = compile_circuit(random_cascade(rng, n_bits, rng.randint(1, 8), not_rate=0.0))
+        else:
+            free = rng.randint(0, n_bits)
+            y = random_pattern(rng, n_bits, free)
+            expected_y = random_pattern(rng, n_bits, free if case % 4 != 3 else rng.randint(0, n_bits))
+            triples = [(rng.randrange(n_bits), rng.randint(0, 1), rng.randrange(n_bits)) for _ in range(5)]
+            prog = InsertionProgram.from_pairs(n_bits, triples[: rng.randint(0, 5)])
+        ticks = rng.choice([1, 63, 65, 127, 200, 1000, 4097])
+        system = ReferenceSystem(n_bits, rng.randrange(1 << 64))
+        raw = WireBank.draw(system, tick_range(ticks))
+        transformed = superposition_signal(raw.apply(prog), y)
+        want = compare_signals(transformed, superposition_signal(raw, expected_y))
+        got = _bank_equivalence(system, prog, y, expected_y, ticks)
+        assert got.to_dict() == want.to_dict(), case
+        outcomes.append(got.passed)
+    assert 100 <= outcomes.count(False) <= 300
 
 
 def test_universe_invariance_for_empty_circuit():
