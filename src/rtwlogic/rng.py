@@ -32,9 +32,11 @@ _SHIFT_C = np.uint64(31)
 # Each worker thread of a large draw hashes tiles of this size too.
 _TILE = 1 << 16
 # Draws of at least this many hashes (keys x ticks) run on _WORKERS threads;
-# smaller ones are serial and start no pool. On a 2-core host, two threads
-# were slower than one below about 2^19 hashes and 1.16x faster at 2^20.
-_PARALLEL_MIN = 1 << 20
+# smaller ones are serial and start no pool. On a shared 2-core host, two
+# threads were 0.9-1.3x as fast as one at 2^21-2^23 hashes, depending on
+# whether the second core was free, and 1.2-1.6x from 2^24 up; below 2^24
+# the threads add more run-to-run spread than speed.
+_PARALLEL_MIN = 1 << 24
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _pool = None

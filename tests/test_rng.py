@@ -118,8 +118,8 @@ def test_sign_planes_do_not_depend_on_the_worker_count(n_keys, monkeypatch):
 
 @pytest.mark.parametrize("n_keys", [1, 16, 17, 40])
 def test_the_parallel_threshold_changes_no_plane(n_keys, monkeypatch):
-    # At 16 keys the threshold falls at 2^16 ticks: 64k - 1 is serial, 64k
-    # and 64k + 1 are threaded.
+    # At 16 keys the threshold falls at 2^20 ticks: 2^20 - 1 is serial, 2^20
+    # and 2^20 + 1 are threaded.
     edge = -(-rng._PARALLEL_MIN // n_keys)
     keys = [stream_key(9, ch) for ch in range(n_keys)]
     for n in (edge - 1, edge, edge + 1):
