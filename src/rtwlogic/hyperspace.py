@@ -6,6 +6,14 @@ a sum of such product signals with integer coefficients. Factorized
 (pattern) superpositions such as the all-strings universe are evaluated as
 a product of per-bit sums, costing O(N) per tick instead of O(2^N).
 
+An explicit sum is evaluated in the Walsh basis of the NOT operators
+N_i = w[i,0] * w[i,1]: every product string is B(t) * chi_s(d(t)), with B
+the product of the value-0 wires and d(t) the N operator sign bits, so
+sum_s c_s P_s = B * C^(d), where C^ is the Walsh-Hadamard transform of the
+coefficients. Strings are grouped by their bits above a low part of K bits,
+and each group costs one 2^K-entry transform and one pass over the ticks;
+K is chosen per sum from a cost estimate (`_low_bit_count`).
+
 Bit strings are ints with bit i = (s >> i) & 1. In the text format the
 leftmost character is bit 0.
 """
@@ -13,6 +21,7 @@ leftmost character is bit 0.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from math import sqrt
@@ -27,6 +36,15 @@ DEFAULT_EXPANSION_BUDGET = 1 << 20
 
 # Coefficient budget keeping every signal sum inside exact int64 arithmetic.
 _MAX_ABS_COEFF_SUM = 1 << 62
+
+# Most low string bits an explicit sum is tabulated over: 2^16 int64 entries.
+_MAX_LOW_BITS = 16
+# Estimated nanoseconds of one NumPy call, in `_low_bit_count`.
+_CALL_COST = 1000
+# Plane ticks per block of group sign planes (512 KiB of packed bits; a
+# window shorter than one 64-bit word counts as one word), which bounds the
+# working set of explicit sums and readouts whatever the group count.
+_BLOCK_TICKS = 1 << 22
 
 
 class ExpansionBudgetError(RuntimeError):
@@ -67,18 +85,14 @@ class Superposition:
             raise ValueError("exactly one of terms/allowed must be given")
         if self.terms is not None:
             seen = set()
-            total = 0
             for s, c in self.terms:
-                _check_string(s, self.n_bits)
                 _check_int(c, "coefficient")
                 if c == 0:
                     raise ValueError("zero coefficients must be dropped")
                 if s in seen:
                     raise ValueError(f"duplicate string {s}")
                 seen.add(s)
-                total += abs(c)
-            if total > _MAX_ABS_COEFF_SUM:
-                raise ValueError("coefficient magnitudes exceed the exact-arithmetic budget")
+            _check_terms(self.n_bits, self.terms)
         else:
             if len(self.allowed) != self.n_bits:
                 raise ValueError(f"pattern needs {self.n_bits} entries, got {len(self.allowed)}")
@@ -91,15 +105,22 @@ class Superposition:
     @classmethod
     def explicit(cls, n_bits: int, coefficients) -> "Superposition":
         """Explicit superposition from a {string: coefficient} mapping or
-        (string, coefficient) pairs; repeated strings add, zeros drop."""
+        (string, coefficient) pairs; repeated strings add, zeros drop.
+        Every value is checked once, here."""
+        _check_int(n_bits, "n_bits", 1)
         merged: dict[int, int] = {}
         items = coefficients.items() if hasattr(coefficients, "items") else coefficients
         for s, c in items:
             # before the sum, which would turn True into 1
             _check_int(c, "coefficient")
-            merged[s] = merged.get(s, 0) + c
+            merged[s] = merged.get(s, 0) + int(c)
         terms = tuple(sorted((s, c) for s, c in merged.items() if c != 0))
-        return cls(n_bits, terms=terms)
+        _check_terms(n_bits, terms)
+        # Merged and sorted: no zeros, no duplicates, nothing left to check.
+        y = object.__new__(cls)
+        for name, value in (("n_bits", n_bits), ("terms", terms), ("allowed", None)):
+            object.__setattr__(y, name, value)
+        return y
 
     @classmethod
     def from_strings(cls, n_bits: int, strings) -> "Superposition":
@@ -148,12 +169,12 @@ class Superposition:
 
     def abs_coeff_sum(self) -> int:
         if self.terms is not None:
-            return sum(abs(c) for _, c in self.terms)
+            return sum(abs(int(c)) for _, c in self.terms)
         return self.term_count
 
     def sq_coeff_sum(self) -> int:
         if self.terms is not None:
-            return sum(c * c for _, c in self.terms)
+            return sum(int(c) ** 2 for _, c in self.terms)
         return self.term_count
 
     def expand(self, budget: int = DEFAULT_EXPANSION_BUDGET) -> "Superposition":
@@ -255,8 +276,10 @@ def product_string_sample(sys: ReferenceSystem, prog: InsertionProgram | None, s
 def superposition_sample(sys: ReferenceSystem, prog: InsertionProgram | None, y: Superposition, ticks):
     """Exact integer signal of a superposition at the given tick(s).
 
-    Explicit form sums coefficient-weighted product signals; pattern form
-    multiplies per-bit wire sums, never enumerating the strings.
+    Pattern form multiplies per-bit wire sums; explicit form is
+    B * C^(d), the Walsh-Hadamard transform of its coefficients read at the
+    NOT-operator bits (see `superposition_signal`). Neither enumerates the
+    2^N strings.
     """
     arr, scalar = as_tick_array(ticks)
     signal = superposition_signal(WireBank.draw(sys, arr).apply(prog), y)
@@ -264,7 +287,15 @@ def superposition_sample(sys: ReferenceSystem, prog: InsertionProgram | None, y:
 
 
 def superposition_signal(bank: WireBank, y: Superposition) -> np.ndarray:
-    """Exact int64 signal of a superposition on the wires of a bank."""
+    """Exact int64 signal of a superposition on the wires of a bank.
+
+    A pattern is 0 where a free bit's two wires differ and +-2^k elsewhere.
+    An explicit sum adds, per group of strings sharing their bits above the
+    low K, the group's transformed coefficient table gathered at the low
+    NOT-operator bits (`_SpectralSplit`); at K = 0 each term adds its
+    product signal times its coefficient. Every transform partial sum is
+    bounded by sum |c| <= 2^62, so int64 is exact.
+    """
     _check_width(y, bank.n_bits)
     if y.is_pattern:
         zero, sign = bank.pattern_planes(y.allowed)
@@ -275,16 +306,41 @@ def superposition_signal(bank: WireBank, y: Superposition) -> np.ndarray:
         level <<= 1
         level |= sign_bits
         return levels[level]
+    return _explicit_signal(bank, y)
+
+
+def _explicit_signal(bank: WireBank, y: Superposition, low_bits: int | None = None) -> np.ndarray:
+    """`superposition_signal` of an explicit sum; `low_bits` pins K."""
+    split = _SpectralSplit(bank, y, low_bits, readout=False)
     signal = np.zeros(bank.n_ticks, dtype=np.int64)
-    for coeffs, planes in _term_blocks(bank, y):
-        for c, plane in zip(coeffs, planes):
-            signal += bank.signs(plane) * np.int64(c)
+    for first, planes in split.batches():
+        if split.index is None:
+            # One term per group: its product signal times its coefficient.
+            for c, plane in zip(split.coeffs[first : first + len(planes)], planes):
+                signal += bank.signs(plane) * np.int64(c)
+            continue
+        for group, plane in enumerate(planes, first):
+            lows, coeffs = split.group(group)
+            spectrum = np.zeros(1 << split.low_bits, dtype=np.int64)
+            spectrum[lows] = coeffs
+            spectrum = _walsh_hadamard(spectrum)
+            # Entry 2x + b is C^_g[x] times the sign of plane bit b.
+            table = np.stack((spectrum, -spectrum), axis=-1).ravel()
+            signal += table[split.index | bank.bits(plane)]
     return signal
 
 
-def _correlation(bank: WireBank, y: Superposition, probe_plane: np.ndarray) -> int:
+def _correlation(bank: WireBank, y: Superposition, probe_plane: np.ndarray, low_bits: int | None = None) -> int:
     """Exact sum over the window of a superposition's signal times a +-1
-    signal given by its sign plane, from popcounts alone."""
+    signal given by its sign plane.
+
+    A pattern is read from popcounts alone. An explicit sum is read group by
+    group (see `_SpectralSplit`): the ticks are counted per low index x, +1
+    or -1 by the sign of the group's plane times the probe; the transform of
+    these counts, read at a term's low bits, is the term's exact correlation
+    with the probe, T - 2 * popcount(P_s ^ probe). With no low bits that
+    popcount is taken directly.
+    """
     _check_width(y, bank.n_bits)
     ticks = bank.n_ticks
     if y.is_pattern:
@@ -294,19 +350,113 @@ def _correlation(bank: WireBank, y: Superposition, probe_plane: np.ndarray) -> i
         nonzero = ticks - int(bank.count(zero))
         nonzero_differ = int(bank.count(differ)) - int(bank.count(zero & differ))
         return (1 << y.free_bit_count) * (nonzero - 2 * nonzero_differ)
+    split = _SpectralSplit(bank, y, low_bits, readout=True)
+    # Python ints: every product and sum is exact whatever the coefficients.
     total = 0
-    for coeffs, planes in _term_blocks(bank, y):
+    for first, planes in split.batches():
         planes ^= probe_plane
-        for c, differ in zip(coeffs, bank.count(planes).tolist()):
-            total += c * (ticks - 2 * differ)
+        if split.index is None:
+            coeffs = split.coeffs[first : first + len(planes)]
+            total += sum(c * (ticks - 2 * n) for c, n in zip(coeffs, bank.count(planes).tolist()))
+            continue
+        for group, plane in enumerate(planes, first):
+            lows, coeffs = split.group(group)
+            counts = np.bincount(split.index | bank.bits(plane), minlength=2 << split.low_bits)
+            correlations = _walsh_hadamard(counts[0::2] - counts[1::2])[lows]
+            total += sum(map(operator.mul, coeffs, correlations.tolist()))
     return total
 
 
-def _term_blocks(bank: WireBank, y: Superposition):
-    """Coefficients and sign planes of an explicit superposition's terms,
-    block by block."""
-    for start, planes in bank.string_blocks([s for s, _ in y.terms]):
-        yield [c for _, c in y.terms[start : start + len(planes)]], planes
+class _SpectralSplit:
+    """An explicit superposition's terms split for spectral evaluation.
+
+    Every product string is P_s = B * chi_s(d) (`WireBank.operators`).
+    Split s into its K low bits and its high part g = s >> K; then
+        sum_s c_s P_s = sum_g B * chi_g(d_high) * C^_g[d_low],
+    where C^_g is the Walsh-Hadamard transform of group g's 2^K-entry
+    coefficient table and B * chi_g(d_high) is the sign plane of g << K.
+    K = N is one transform; K = 0 makes every term a group.
+
+    K is `_low_bit_count` unless given (tests pin it). `index` is
+    2 * d_low(t) per tick, None when K = 0. Groups are numbered in string
+    order, and `batches` builds their planes, `string_planes(g << K)`, in
+    blocks of at most _BLOCK_TICKS, so the working set is O(T + 2^K) words.
+    """
+
+    def __init__(self, bank: WireBank, y: Superposition, low_bits: int | None, readout: bool):
+        terms = sorted(y.terms)
+        strings = np.array([s for s, _ in terms], dtype=np.int64)
+        if low_bits is None:
+            low_bits = _low_bit_count(strings, bank.n_bits, bank.n_ticks, readout)
+        self.low_bits = low_bits
+        self.index = None
+        if low_bits:
+            self.index = bank.operator_index(low_bits)
+            self.index <<= 1
+        self.coeffs = [int(c) for _, c in terms]
+        highs = strings >> low_bits
+        self.lows = strings - (highs << low_bits)
+        first = np.ones(highs.size, dtype=bool)
+        np.not_equal(highs[1:], highs[:-1], out=first[1:])
+        self.starts = np.flatnonzero(first)
+        self.stops = [*self.starts[1:].tolist(), len(terms)]
+        self.highs = highs[self.starts]
+        self.bank = bank
+
+    def group(self, i: int) -> tuple[np.ndarray, list[int]]:
+        """Low bits and coefficients of the terms of group i."""
+        start, stop = self.starts[i], self.stops[i]
+        return self.lows[start:stop], self.coeffs[start:stop]
+
+    def batches(self):
+        """(first group, sign planes of the next groups), block by block."""
+        per_block = max(1, _BLOCK_TICKS // max(64, self.bank.n_ticks))
+        for first in range(0, len(self.highs), per_block):
+            yield first, self.bank.string_planes(self.highs[first : first + per_block] << self.low_bits)
+
+
+def _low_bit_count(strings: np.ndarray, n_bits: int, n_ticks: int, readout: bool) -> int:
+    """The number K of low string bits that `_SpectralSplit` tabulates.
+
+    The rule minimizes an estimated cost in nanoseconds, computed before any
+    work from T ticks and the group count G(K), the number of distinct
+    s >> K among the sorted strings, with C = 1000 for one NumPy call and
+    P = N * T / 128 to build one group's sign plane from N wire planes:
+      K = 0: G(0) * (1.3 * T + 10 * C + P) for a signal, one pass per term;
+             G(0) * (T / 10 + C + P) for a readout, one popcount per term;
+      K > 0: K * (3 * T / 2 + 20 * C) to build the low index, plus per group
+             3 * T + 20 * C + P + (K + 8) * 2^K, one pass over the ticks and
+             a 2^K-entry table with its K-stage transform.
+    The weights were fitted to timings on a 2-core Xeon with NumPy 2.4. K is
+    the cheapest value in [0, min(N, 16)], the smallest on a tie.
+    """
+    highs = strings >> np.arange(min(n_bits, _MAX_LOW_BITS) + 1)[:, None]
+    groups = np.count_nonzero(highs[:, 1:] != highs[:, :-1], axis=1) + min(1, strings.size)
+    plane = n_bits * n_ticks / 128
+    per_term = plane + (n_ticks / 10 + _CALL_COST if readout else 1.3 * n_ticks + 10 * _CALL_COST)
+    costs = [groups[0] * per_term]
+    for k, count in enumerate(groups.tolist()[1:], 1):
+        per_group = 3 * n_ticks + 20 * _CALL_COST + plane + (k + 8) * (1 << k)
+        costs.append(k * (1.5 * n_ticks + 20 * _CALL_COST) + count * per_group)
+    return costs.index(min(costs))
+
+
+def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a 2^k-entry int64 array,
+    X[u] = sum_v x[v] * (-1)^popcount(u & v); `x` is overwritten.
+
+    Each of the k constant-geometry stages maps the halves (a, b) to the
+    interleaved pairs (a + b, a - b) (Fino and Algazi, 1976). Every entry
+    after every stage is a signed sum of a subset of the inputs, so int64 is
+    exact while sum |x| stays below 2^63.
+    """
+    half = x.size // 2
+    out = np.empty_like(x)
+    for _ in range(half.bit_length()):
+        np.add(x[:half], x[half:], out=out[0::2])
+        np.subtract(x[:half], x[half:], out=out[1::2])
+        x, out = out, x
+    return x
 
 
 def _check_width(y: Superposition, n_bits: int) -> None:
@@ -316,6 +466,16 @@ def _check_width(y: Superposition, n_bits: int) -> None:
 
 def _check_string(string: int, n_bits: int) -> None:
     _check_int(string, "string", 0, 1 << n_bits)
+
+
+def _check_terms(n_bits: int, terms) -> None:
+    """Strings in range, and coefficient magnitudes summed as Python ints
+    within the exact-arithmetic budget."""
+    stop = 1 << n_bits
+    for s, _ in terms:
+        _check_int(s, "string", 0, stop)
+    if sum(abs(int(c)) for _, c in terms) > _MAX_ABS_COEFF_SUM:
+        raise ValueError("coefficient magnitudes exceed the exact-arithmetic budget")
 
 
 def oracle_apply(affine: AffineMapGF2, y: Superposition) -> Superposition:

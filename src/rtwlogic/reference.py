@@ -20,10 +20,6 @@ from .rng import coin_flips, sign_planes, stream_key, unpack_signs
 MAX_BITS = 32
 DEFAULT_SEED = 42
 
-# Sign-plane bytes per block of product strings, which bounds the working
-# set of explicit sums and readouts whatever the term count.
-_BLOCK_BYTES = 1 << 19
-
 
 def as_tick_array(ticks) -> tuple[np.ndarray, bool]:
     """Normalize ticks to a uint64 array; the flag marks scalar input."""
@@ -101,20 +97,13 @@ class WireBank:
         return self.planes.shape[0]
 
     def apply(self, prog: InsertionProgram | None) -> "WireBank":
-        """The effective wires under a program's NOT insertions.
-
-        The NOT operator of a bit is the product of its two raw wires; times
-        either wire it gives the other. Operators are all built from this
-        bank's planes before any host plane changes.
-        """
+        """The effective wires under a program's NOT insertions, with every
+        operator built from this bank's planes before any host plane changes."""
         if prog is None:
             return self
         if prog.n_bits != self.n_bits:
             raise ValueError(f"program n_bits={prog.n_bits} does not match system n_bits={self.n_bits}")
-        operators = {
-            target: self.planes[target, 0] ^ self.planes[target, 1]
-            for target in {ins.target for ins in prog.insertions}
-        }
+        operators = self.operators()
         planes = self.planes.copy()
         for ins in prog.insertions:
             planes[ins.host_bit, ins.host_value] ^= operators[ins.target]
@@ -129,12 +118,24 @@ class WireBank:
             out ^= self.planes[bit, (strings >> bit) & 1]
         return out
 
-    def string_blocks(self, strings):
-        """(start index, `string_planes`) of consecutive blocks of strings,
-        sized to bound the working set whatever the string count."""
-        per_block = max(1, _BLOCK_BYTES // max(1, self.planes.shape[-1]))
-        for start in range(0, len(strings), per_block):
-            yield start, self.string_planes(strings[start : start + per_block])
+    def operators(self) -> np.ndarray:
+        """Sign planes of the NOT operators, one row per bit.
+
+        N_i is the product of bit i's two wires; times either wire it gives
+        the other. So wire (i, 1) is wire (i, 0) times N_i, and product
+        string s is B * chi_s(d): B is the product of the value-0 wires,
+        d(t) the vector of operator sign bits and chi_s(d) =
+        (-1)^popcount(s & d).
+        """
+        return self.planes[:, 0] ^ self.planes[:, 1]
+
+    def operator_index(self, k: int) -> np.ndarray:
+        """Per tick, the integer whose bit i is the sign bit of N_i, i < k
+        (at most 16), built one plane at a time."""
+        out = np.zeros(self.n_ticks, dtype=np.uint16)
+        for bit, plane in enumerate(self.operators()[:k]):
+            out |= np.left_shift(self.bits(plane), bit, dtype=np.uint16)
+        return out.astype(np.intp)
 
     def pattern_planes(self, allowed) -> tuple[np.ndarray, np.ndarray]:
         """Zero and sign planes of a pattern with per-bit allowed values.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rtwlogic import hyperspace
 from rtwlogic.compiler import (
     AffineMapGF2,
     GateCircuit,
@@ -125,6 +126,33 @@ def test_merge_adds_coefficients():
 def test_budget_guard_on_total_weight():
     with pytest.raises(ValueError):
         Superposition.explicit(1, {0: 1 << 63})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda c: Superposition.explicit(2, {0: c, 1: c}),
+        lambda c: Superposition(2, terms=((0, c), (1, c))),
+    ],
+    ids=["explicit", "constructor"],
+)
+def test_budget_guard_sums_numpy_coefficients_without_wrapping(make):
+    # Two int64 halves of 2^63 wrapped to -2^63 and passed the guard.
+    with pytest.raises(ValueError, match="budget"):
+        make(np.int64(1 << 62))
+
+
+def test_explicit_checks_each_value_once(monkeypatch):
+    calls = []
+
+    def counting(value, name, *bounds):
+        calls.append(name)
+        return check(value, name, *bounds)
+
+    check = hyperspace._check_int
+    monkeypatch.setattr(hyperspace, "_check_int", counting)
+    Superposition.explicit(3, [(1, 2), (5, -1), (1, 3)])
+    assert sorted(calls) == ["coefficient"] * 3 + ["n_bits"] + ["string"] * 2
 
 
 # -- text format ----------------------------------------------------------------
