@@ -433,12 +433,9 @@ def conjecture_scan(n_gates: int, n_bits: int, samples: int, seed: int = 0) -> C
     Violations are findings, not failures: cascades with cancelling gate
     pairs legitimately compile below the lower bound.
     """
-    if n_gates < 1:
-        raise ValueError("n_gates must be >= 1")
-    if n_bits < 2:
-        raise ValueError("need n_bits >= 2 for CNOT gates")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_int(n_gates, "n_gates", 1)
+    _check_int(n_bits, "n_bits", 2)  # a CNOT needs two bits
+    _check_int(samples, "samples", 1)
     rng = random.Random(seed)
     report = ConjectureScanReport(n_gates, n_bits, samples, seed)
     for _ in range(samples):

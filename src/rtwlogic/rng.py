@@ -4,14 +4,14 @@ Every sample is a pure function of (seed, channel, tick): a SplitMix64-style
 finalizer is applied twice, once to derive a per-channel stream key and once
 per tick counter. This makes sampling random-access and order-independent,
 so tick ranges can be evaluated in any order, in parallel, and reproduce
-bit-for-bit. Large draws are hashed on one thread per CPU the process may
-run on.
+bit-for-bit. A large draw is hashed on one thread per CPU the process may
+run on; the draw starts them and joins them before it returns, so no
+hashing thread or other mutable state outlives a call.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -32,36 +32,12 @@ _SHIFT_C = np.uint64(31)
 # Each worker thread of a large draw hashes tiles of this size too.
 _TILE = 1 << 16
 # Draws of at least this many hashes (keys x ticks) run on _WORKERS threads;
-# smaller ones are serial and start no pool. On a shared 2-core host, two
+# smaller ones are serial and start no thread. On a shared 2-core host, two
 # threads were 0.9-1.3x as fast as one at 2^21-2^23 hashes, depending on
 # whether the second core was free, and 1.2-1.6x from 2^24 up; below 2^24
 # the threads add more run-to-run spread than speed.
 _PARALLEL_MIN = 1 << 24
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _reset_pool() -> None:
-    # A forked child inherits the pool object but none of its threads.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool)
-
-
-def _executor():
-    """The process's hashing thread pool, created on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="rtwlogic-hash")
-        return _pool
 
 
 def mix64(x: int) -> int:
@@ -142,8 +118,13 @@ def sign_planes(keys, ticks: np.ndarray) -> np.ndarray:
         scratch = np.empty((2, keys.shape[0], min(step, n)), dtype=np.uint64)
         jobs.append((keys, ticks, planes, starts, step, scratch))
     if workers > 1:
-        for future in [_executor().submit(_hash_tiles, *job) for job in jobs]:
-            future.result()
+        # Imported here: it costs serial callers 5-10 ms of start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Leaving the block joins every worker, also when one of them raised.
+        with ThreadPoolExecutor(workers, thread_name_prefix="rtwlogic-hash") as pool:
+            for future in [pool.submit(_hash_tiles, *job) for job in jobs]:
+                future.result()
     else:
         _hash_tiles(*jobs[0])
     return planes

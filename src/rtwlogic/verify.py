@@ -18,6 +18,7 @@ from .compiler import (
     GateCircuit,
     Insertion,
     InsertionProgram,
+    _check_int,
     circuit_to_affine,
     compile_to_insertions,
     parse_circuit,
@@ -178,6 +179,8 @@ def random_equivalence_trials(
 ) -> TrialsReport:
     """Check `n_trials` random (circuit, superposition) pairs under each
     reference seed."""
+    _check_int(n_trials, "n_trials", 1)
+    _check_int(len(seeds), "the number of seeds", 1)
     rng = random.Random(draw_seed)
     report = TrialsReport()
     for _ in range(n_trials):

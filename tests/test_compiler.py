@@ -374,3 +374,12 @@ def test_scan_report_serializes():
     assert d["n_gates"] == 2 and d["samples"] == 50
     assert set(map(int, d["histogram"])) == set(report.histogram)
     assert d["lower_bound"] == 2 and d["upper_bound"] == 3
+
+
+@pytest.mark.parametrize(
+    "n_gates, n_bits, samples",
+    [(True, 3, 5), (2.0, 3, 5), (2, 3, 2.5), (2, np.float64(3), 5), (0, 3, 5), (2, 1, 5), (2, 3, 0)],
+)
+def test_scan_rejects_counts_that_are_not_integers_in_range(n_gates, n_bits, samples):
+    with pytest.raises(ValueError):
+        conjecture_scan(n_gates, n_bits, samples)

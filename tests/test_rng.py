@@ -1,9 +1,11 @@
 """Keyed counter-based generator: determinism, golden values, fairness,
 and the same planes from any number of hashing threads."""
 
+import concurrent.futures
 import multiprocessing
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -133,28 +135,83 @@ def test_the_parallel_threshold_changes_no_plane(n_keys, monkeypatch):
             assert [row[t] == 1 for t in ticks] == [coin_flip(key, t) == -1 for t in ticks]
 
 
+def _no_threads(*args, **kwargs):
+    raise AssertionError("a small draw started threads")
+
+
 def test_small_draws_start_no_pool(monkeypatch):
-    monkeypatch.setattr(rng, "_pool", None)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_threads)
     monkeypatch.setattr(rng, "_WORKERS", 2)
     # the largest draw of a random-verify trial: 8 bits x 2 wires x 1024 ticks
     sign_planes([stream_key(1, ch) for ch in range(16)], np.arange(1024, dtype=np.uint64))
-    assert rng._pool is None
 
 
-def test_concurrent_callers_share_one_pool(monkeypatch):
-    # More workers than cores and a short switch interval: callers racing
-    # to create the pool must end up with one pool and the serial planes.
+def _hash_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("rtwlogic-hash")]
+
+
+def _threaded_draw(monkeypatch, workers: int = 2):
+    """Keys, ticks and serial planes of a draw that then runs on `workers`
+    threads, in 40 tiles of 128 ticks."""
     keys = [stream_key(11, ch) for ch in range(7)]
     ticks = np.arange(5000, dtype=np.uint64)
     want = sign_planes(keys, ticks)
-    monkeypatch.setattr(rng, "_pool", None)
-    monkeypatch.setattr(rng, "_WORKERS", 3)
+    monkeypatch.setattr(rng, "_WORKERS", workers)
     monkeypatch.setattr(rng, "_PARALLEL_MIN", 1 << 10)
+    monkeypatch.setattr(rng, "_TILE", 1 << 10)
+    return keys, ticks, want
+
+
+def test_a_threaded_draw_leaves_no_thread_behind(monkeypatch):
+    keys, ticks, want = _threaded_draw(monkeypatch)
+    started = []
+    hash_tiles = rng._hash_tiles
+
+    def record(*args) -> None:
+        started.append(threading.current_thread().name)
+        hash_tiles(*args)
+
+    monkeypatch.setattr(rng, "_hash_tiles", record)
+    assert np.array_equal(sign_planes(keys, ticks), want)
+    assert len(started) == 2 and all(name.startswith("rtwlogic-hash") for name in started)
+    assert _hash_threads() == []
+
+
+def test_a_failing_worker_fails_the_draw_after_every_worker_ends(monkeypatch):
+    # The first worker raises at once; the others finish their tiles later.
+    # A worker's error must reach the caller rather than leave zero tiles,
+    # and only once no worker still writes into the planes.
+    keys, ticks, _ = _threaded_draw(monkeypatch, workers=3)
+    calls, finished = [], []
+    lock = threading.Lock()
+    hash_tiles = rng._hash_tiles
+
+    def fail_first(*args) -> None:
+        with lock:
+            calls.append(None)
+            first = len(calls) == 1
+        if first:
+            raise RuntimeError("worker failed")
+        time.sleep(0.2)
+        hash_tiles(*args)
+        finished.append(None)
+
+    monkeypatch.setattr(rng, "_hash_tiles", fail_first)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        sign_planes(keys, ticks)
+    assert len(finished) == 2
+    assert _hash_threads() == []
+
+
+def test_concurrent_callers_get_the_serial_planes(monkeypatch):
+    # More workers than cores and a short switch interval: racing callers,
+    # each starting its own workers, must all get the serial planes.
+    keys, ticks, want = _threaded_draw(monkeypatch, workers=3)
     seen = []
 
     def draw() -> None:
         for _ in range(20):
-            seen.append((rng._executor(), np.array_equal(sign_planes(keys, ticks), want)))
+            seen.append(np.array_equal(sign_planes(keys, ticks), want))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -167,9 +224,7 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
-    assert len(seen) == 120 and all(same for _, same in seen)
-    assert len({id(pool) for pool, _ in seen}) == 1
-    rng._pool.shutdown()
+    assert len(seen) == 120 and all(seen)
 
 
 def _draw_and_compare(keys, ticks, want) -> None:
@@ -177,12 +232,11 @@ def _draw_and_compare(keys, ticks, want) -> None:
 
 
 def test_a_forked_child_hashes_on_its_own_pool(monkeypatch):
-    # The child inherits the parent's pool object but not its threads.
+    # The parent has drawn on threads before the fork; the child starts its own.
     monkeypatch.setattr(rng, "_WORKERS", 2)
     keys = [stream_key(3, ch) for ch in range(16)]
     ticks = np.arange(rng._PARALLEL_MIN // 16 + 77, dtype=np.uint64)
     want = sign_planes(keys, ticks)
-    assert rng._pool is not None
     child = multiprocessing.get_context("fork").Process(target=_draw_and_compare, args=(keys, ticks, want))
     child.start()
     child.join(timeout=60)

@@ -150,6 +150,12 @@ def test_random_trials_all_pass_and_record_inputs():
     assert report.lines()[0].startswith("[ok ]")
 
 
+@pytest.mark.parametrize("n_trials, seeds", [(0, (42,)), (-3, (42,)), (2, ()), (2.0, (42,)), (True, (42,))])
+def test_random_trials_refuse_to_pass_on_no_trials(n_trials, seeds):
+    with pytest.raises(ValueError):
+        random_equivalence_trials(n_trials, seeds=seeds, ticks=64)
+
+
 def test_canonical_suite_passes_and_matches_expectations():
     suite = canonical_suite(seed=42, ticks=256)
     assert suite.passed
