@@ -41,17 +41,10 @@ def _positive(text: str) -> int:
     return value
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
-
-
 def _seed(text: str) -> int:
-    value = _nonnegative(text)
-    if value >= 1 << 64:
-        raise argparse.ArgumentTypeError(f"expected a seed below 2**64, got {text}")
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {text}")
     return value
 
 

@@ -329,16 +329,14 @@ def affine_of_program(prog: InsertionProgram) -> AffineMapGF2:
 def noninteracting_chain(length: int) -> GateCircuit:
     """Chained CNOTs applied top-down so no gate writes a later control:
     [CNOT L-1 L, CNOT L-2 L-1, ..., CNOT 0 1] over length+1 bits."""
-    if length < 1:
-        raise ValueError("chain length must be >= 1")
+    _check_int(length, "chain length", 1)
     return GateCircuit(length + 1, tuple(cnot(i, i + 1) for i in reversed(range(length))))
 
 
 def interacting_chain(length: int) -> GateCircuit:
     """Chained CNOTs applied bottom-up so each gate feeds the next control:
     [CNOT 0 1, CNOT 1 2, ..., CNOT L-1 L] over length+1 bits."""
-    if length < 1:
-        raise ValueError("chain length must be >= 1")
+    _check_int(length, "chain length", 1)
     return GateCircuit(length + 1, tuple(cnot(i, i + 1) for i in range(length)))
 
 

@@ -68,11 +68,14 @@ def format_bits(string: int, n_bits: int) -> str:
 class Superposition:
     """Integer-coefficient sum of product strings over n_bits.
 
-    Exactly one of `terms` (explicit form: sorted (string, coefficient)
-    pairs, no zeros) and `allowed` (pattern form: per-bit allowed values,
-    each (0,), (1,) or (0, 1)) is set. A pattern denotes the coefficient-1
-    sum over the Cartesian product of its allowed values; all-(0, 1) is the
-    universe. Values are immutable after construction.
+    Exactly one of `terms` (explicit form: (string, coefficient) pairs) and
+    `allowed` (pattern form: per-bit allowed values, each (0,), (1,) or
+    (0, 1) in any order) is given. The constructor merges repeated strings,
+    drops zero coefficients and stores the pairs sorted by string, so equal
+    sums compare and hash equal however they were written. A pattern
+    denotes the coefficient-1 sum over the Cartesian product of its allowed
+    values; all-(0, 1) is the universe. Values are immutable after
+    construction.
     """
 
     n_bits: int
@@ -84,51 +87,43 @@ class Superposition:
         if (self.terms is None) == (self.allowed is None):
             raise ValueError("exactly one of terms/allowed must be given")
         if self.terms is not None:
-            seen = set()
+            merged: dict[int, int] = {}
             for s, c in self.terms:
+                # before the sum, which would turn True into 1
                 _check_int(c, "coefficient")
-                if c == 0:
-                    raise ValueError("zero coefficients must be dropped")
-                if s in seen:
-                    raise ValueError(f"duplicate string {s}")
-                seen.add(s)
-            _check_terms(self.n_bits, self.terms)
-        else:
-            if len(self.allowed) != self.n_bits:
-                raise ValueError(f"pattern needs {self.n_bits} entries, got {len(self.allowed)}")
-            for vals in self.allowed:
-                for value in vals:
-                    _check_int(value, "allowed value")
-                if tuple(vals) not in ((0,), (1,), (0, 1)):
-                    raise ValueError(f"bad allowed-value set {vals!r}")
+                merged[s] = merged.get(s, 0) + int(c)
+            for s in merged:
+                _check_string(s, self.n_bits)
+            if sum(map(abs, merged.values())) > _MAX_ABS_COEFF_SUM:
+                raise ValueError("coefficient magnitudes exceed the exact-arithmetic budget")
+            object.__setattr__(self, "terms", tuple(sorted((s, c) for s, c in merged.items() if c)))
+            return
+        allowed = []
+        for vals in self.allowed:
+            for value in vals:
+                _check_int(value, "allowed value")
+            allowed.append(tuple(sorted(set(vals))))
+            if allowed[-1] not in ((0,), (1,), (0, 1)):
+                raise ValueError(f"bad allowed-value set {vals!r}")
+        if len(allowed) != self.n_bits:
+            raise ValueError(f"pattern needs {self.n_bits} entries, got {len(allowed)}")
+        object.__setattr__(self, "allowed", tuple(allowed))
 
     @classmethod
     def explicit(cls, n_bits: int, coefficients) -> "Superposition":
         """Explicit superposition from a {string: coefficient} mapping or
-        (string, coefficient) pairs; repeated strings add, zeros drop.
-        Every value is checked once, here."""
-        _check_int(n_bits, "n_bits", 1)
-        merged: dict[int, int] = {}
+        (string, coefficient) pairs."""
         items = coefficients.items() if hasattr(coefficients, "items") else coefficients
-        for s, c in items:
-            # before the sum, which would turn True into 1
-            _check_int(c, "coefficient")
-            merged[s] = merged.get(s, 0) + int(c)
-        terms = tuple(sorted((s, c) for s, c in merged.items() if c != 0))
-        _check_terms(n_bits, terms)
-        # Merged and sorted: no zeros, no duplicates, nothing left to check.
-        y = object.__new__(cls)
-        for name, value in (("n_bits", n_bits), ("terms", terms), ("allowed", None)):
-            object.__setattr__(y, name, value)
-        return y
+        return cls(n_bits, terms=tuple(items))
 
     @classmethod
     def from_strings(cls, n_bits: int, strings) -> "Superposition":
-        return cls.explicit(n_bits, [(s, 1) for s in strings])
+        return cls(n_bits, terms=tuple((s, 1) for s in strings))
 
     @classmethod
     def pattern(cls, allowed) -> "Superposition":
-        return cls(len(tuple(allowed)), allowed=tuple(tuple(sorted(set(v))) for v in allowed))
+        allowed = tuple(allowed)
+        return cls(len(allowed), allowed=allowed)
 
     @classmethod
     def universe(cls, n_bits: int) -> "Superposition":
@@ -169,12 +164,12 @@ class Superposition:
 
     def abs_coeff_sum(self) -> int:
         if self.terms is not None:
-            return sum(abs(int(c)) for _, c in self.terms)
+            return sum(abs(c) for _, c in self.terms)
         return self.term_count
 
     def sq_coeff_sum(self) -> int:
         if self.terms is not None:
-            return sum(int(c) ** 2 for _, c in self.terms)
+            return sum(c**2 for _, c in self.terms)
         return self.term_count
 
     def expand(self, budget: int = DEFAULT_EXPANSION_BUDGET) -> "Superposition":
@@ -384,8 +379,7 @@ class _SpectralSplit:
     """
 
     def __init__(self, bank: WireBank, y: Superposition, low_bits: int | None, readout: bool):
-        terms = sorted(y.terms)
-        strings = np.array([s for s, _ in terms], dtype=np.int64)
+        strings = np.array([s for s, _ in y.terms], dtype=np.int64)
         if low_bits is None:
             low_bits = _low_bit_count(strings, bank.n_bits, bank.n_ticks, readout)
         self.low_bits = low_bits
@@ -393,13 +387,13 @@ class _SpectralSplit:
         if low_bits:
             self.index = bank.operator_index(low_bits)
             self.index <<= 1
-        self.coeffs = [int(c) for _, c in terms]
+        self.coeffs = [c for _, c in y.terms]
         highs = strings >> low_bits
         self.lows = strings - (highs << low_bits)
         first = np.ones(highs.size, dtype=bool)
         np.not_equal(highs[1:], highs[:-1], out=first[1:])
         self.starts = np.flatnonzero(first)
-        self.stops = [*self.starts[1:].tolist(), len(terms)]
+        self.stops = [*self.starts[1:].tolist(), len(y.terms)]
         self.highs = highs[self.starts]
         self.bank = bank
 
@@ -466,16 +460,6 @@ def _check_width(y: Superposition, n_bits: int) -> None:
 
 def _check_string(string: int, n_bits: int) -> None:
     _check_int(string, "string", 0, 1 << n_bits)
-
-
-def _check_terms(n_bits: int, terms) -> None:
-    """Strings in range, and coefficient magnitudes summed as Python ints
-    within the exact-arithmetic budget."""
-    stop = 1 << n_bits
-    for s, _ in terms:
-        _check_int(s, "string", 0, stop)
-    if sum(abs(int(c)) for _, c in terms) > _MAX_ABS_COEFF_SUM:
-        raise ValueError("coefficient magnitudes exceed the exact-arithmetic budget")
 
 
 def oracle_apply(affine: AffineMapGF2, y: Superposition) -> Superposition:

@@ -345,6 +345,14 @@ def test_chain_builders_match_their_gate_lists():
     assert interacting_chain(3).gates == (cnot(0, 1), cnot(1, 2), cnot(2, 3))
 
 
+@pytest.mark.parametrize("chain", [noninteracting_chain, interacting_chain])
+def test_chain_lengths_must_be_positive_integers(chain):
+    # True built a one-gate chain and 2.0 raised TypeError from range()
+    for length in (True, 2.0, np.float64(3), 0, -1):
+        with pytest.raises(ValueError, match="chain length"):
+            chain(length)
+
+
 def test_random_cascade_is_pure_cnot():
     rng = random.Random(5)
     circ = random_cascade(rng, 5, 8, not_rate=0.0)

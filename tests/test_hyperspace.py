@@ -151,8 +151,47 @@ def test_explicit_checks_each_value_once(monkeypatch):
 
     check = hyperspace._check_int
     monkeypatch.setattr(hyperspace, "_check_int", counting)
-    Superposition.explicit(3, [(1, 2), (5, -1), (1, 3)])
-    assert sorted(calls) == ["coefficient"] * 3 + ["n_bits"] + ["string"] * 2
+    pairs = [(1, 2), (5, -1), (1, 3)]
+    for make in (Superposition.explicit, lambda n, terms: Superposition(n, terms=tuple(terms))):
+        calls.clear()
+        make(3, pairs)
+        assert sorted(calls) == ["coefficient"] * 3 + ["n_bits"] + ["string"] * 2
+
+
+pair_lists = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(-3, 3)), max_size=12),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_lists)
+@example((2, [(3, 1), (0, 1)]))
+@example((2, [(1, 2), (1, -2), (2, 0), (1, 1)]))
+def test_direct_construction_normalizes_like_explicit(args):
+    # the pairs come in any order, with repeated strings and zeros
+    n_bits, pairs = args
+    y = Superposition(n_bits, terms=tuple(pairs))
+    want = Superposition.explicit(n_bits, pairs)
+    assert y == want and hash(y) == hash(want)
+    strings = [s for s, _ in y.terms]
+    assert strings == sorted(set(strings))
+    assert all(type(c) is int and c != 0 for _, c in y.terms)
+    sums = {}
+    for s, c in pairs:
+        sums[s] = sums.get(s, 0) + c
+    assert dict(y.terms) == {s: c for s, c in sums.items() if c}
+
+
+def test_allowed_values_are_normalized():
+    want = Superposition.pattern(((0, 1), (0,), (1,)))
+    for allowed in ([[1, 0], [0], [1]], [(1, 0), (0, 0), [1, 1]], [{0, 1}, [0], (1,)]):
+        y = Superposition(3, allowed=allowed)
+        assert y == want and hash(y) == hash(want)
+        assert y.allowed == ((0, 1), (0,), (1,))
+    assert Superposition.pattern([[1, 0], [0], [1]]) == want
 
 
 # -- text format ----------------------------------------------------------------
@@ -221,11 +260,18 @@ def test_width_error_on_a_lone_term_says_how_to_write_it():
         lambda: Superposition.explicit(2, {True: 1}),
         lambda: Superposition.pattern([(True,), (0, 1)]),
         lambda: Superposition(2, allowed=((1.0,), (0, 1))),
+        lambda: Superposition.explicit(2, {"a": 1, 1: 1}),
+        lambda: Superposition.explicit(2, {1: 1, "a": 1}),
+        lambda: Superposition.explicit(2, {None: 1, 0: 1}),
     ],
-    ids=["1.5", "True", "float64 in a sum", "constructor 1.5", "bool string", "bool value", "float value"],
+    ids=[
+        "1.5", "True", "float64 in a sum", "constructor 1.5", "bool string", "bool value", "float value",
+        "str string first", "str string second", "None string",
+    ],
 )
 def test_superposition_inputs_must_be_integers(make):
-    # 1.5 was truncated to 1 in the signal, while membership_estimate expected 1.5
+    # 1.5 was truncated to 1 in the signal, while membership_estimate expected 1.5;
+    # mixed string keys raised TypeError from sorting before they were checked
     with pytest.raises(ValueError, match="integer"):
         make()
 
@@ -234,6 +280,8 @@ def test_numpy_integer_coefficients_are_accepted(sys3):
     y = Superposition.explicit(3, {np.int64(5): np.int32(-2), 3: np.uint8(4)})
     want = Superposition.explicit(3, {5: -2, 3: 4})
     assert y == want
+    direct = Superposition(3, terms=((5, np.int64(-3)), (3, np.uint8(4)), (5, np.int32(1))))
+    assert direct == want and all(type(c) is int for _, c in direct.terms)
     signal = superposition_sample(sys3, None, y, WINDOW)
     assert np.array_equal(signal, superposition_sample(sys3, None, want, WINDOW))
 
