@@ -22,16 +22,14 @@ from .compiler import (
     parse_circuit,
 )
 from .hyperspace import parse_superposition, superposition_sample
-from .reference import (
-    DEFAULT_SEED,
-    ReferenceSystem,
-    orthogonality_report,
-    tick_range,
-)
+from .reference import DEFAULT_SEED, ReferenceSystem, orthogonality_report
 from .verify import DEFAULT_TICKS, canonical_suite, random_equivalence_trials
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+
+# Rows of a CSV trace formatted and written at a time.
+_CSV_ROWS = 1 << 16
 
 
 def _positive(text: str) -> int:
@@ -100,11 +98,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         circ = _read_circuit(args.circuit, args.n)
         program = compile_circuit(circ)
         circuit_lines = circ.to_text().splitlines()
-    signal = superposition_sample(system, program, y, tick_range(args.ticks))
+    signal = superposition_sample(system, program, y, range(args.ticks))
     if args.format == "csv":
-        rows = ["tick,signal"]
-        rows.extend(f"{tick},{value}" for tick, value in enumerate(signal.tolist()))
-        _emit("\n".join(rows), args.out)
+        with Path(args.out).open("w") as out:
+            out.write("tick,signal\n")
+            for lo in range(0, signal.size, _CSV_ROWS):
+                rows = enumerate(signal[lo : lo + _CSV_ROWS].tolist(), lo)
+                out.write("".join(f"{tick},{value}\n" for tick, value in rows))
     else:
         payload = {
             "n_bits": args.n,

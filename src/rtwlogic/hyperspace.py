@@ -29,7 +29,7 @@ from math import sqrt
 import numpy as np
 
 from .compiler import AffineMapGF2, InsertionProgram, _check_int, affine_of_program
-from .reference import ReferenceSystem, WireBank, as_tick_array, tick_range
+from .reference import ReferenceSystem, WireBank, as_window, count_window, map_window
 from .report import Report, StatEntry
 
 DEFAULT_EXPANSION_BUDGET = 1 << 20
@@ -89,11 +89,11 @@ class Superposition:
         if self.terms is not None:
             merged: dict[int, int] = {}
             for s, c in self.terms:
-                # before the sum, which would turn True into 1
+                # Before the merge, which would fold True or 1.0 into an
+                # equal int key, and before the sum, which would turn True into 1.
+                _check_string(s, self.n_bits)
                 _check_int(c, "coefficient")
                 merged[s] = merged.get(s, 0) + int(c)
-            for s in merged:
-                _check_string(s, self.n_bits)
             if sum(map(abs, merged.values())) > _MAX_ABS_COEFF_SUM:
                 raise ValueError("coefficient magnitudes exceed the exact-arithmetic budget")
             object.__setattr__(self, "terms", tuple(sorted((s, c) for s, c in merged.items() if c)))
@@ -262,9 +262,13 @@ def parse_superposition(text: str, n_bits: int | None = None) -> Superposition:
 def product_string_sample(sys: ReferenceSystem, prog: InsertionProgram | None, string: int, ticks):
     """+-1 signal of one product string under an insertion program."""
     _check_string(string, sys.n_bits)
-    arr, scalar = as_tick_array(ticks)
-    bank = WireBank.draw(sys, arr).apply(prog)
-    out = bank.signs(bank.string_planes(string))
+    window, scalar = as_window(ticks)
+    out = np.empty(len(window), dtype=np.int8)
+
+    def consume(lo: int, raw: WireBank, bank: WireBank) -> None:
+        out[lo : lo + bank.n_ticks] = bank.signs(bank.string_planes(string))
+
+    map_window(sys, window, consume, prog)
     return int(out[0]) if scalar else out
 
 
@@ -274,14 +278,21 @@ def superposition_sample(sys: ReferenceSystem, prog: InsertionProgram | None, y:
     Pattern form multiplies per-bit wire sums; explicit form is
     B * C^(d), the Walsh-Hadamard transform of its coefficients read at the
     NOT-operator bits (see `superposition_signal`). Neither enumerates the
-    2^N strings.
+    2^N strings. A long window is evaluated chunk by chunk
+    (`reference.map_window`), each chunk into its slice of the result.
     """
-    arr, scalar = as_tick_array(ticks)
-    signal = superposition_signal(WireBank.draw(sys, arr).apply(prog), y)
+    _check_width(y, sys.n_bits)
+    window, scalar = as_window(ticks)
+    signal = np.empty(len(window), dtype=np.int64)
+
+    def consume(lo: int, raw: WireBank, bank: WireBank) -> None:
+        superposition_signal(bank, y, signal[lo : lo + bank.n_ticks])
+
+    map_window(sys, window, consume, prog)
     return int(signal[0]) if scalar else signal
 
 
-def superposition_signal(bank: WireBank, y: Superposition) -> np.ndarray:
+def superposition_signal(bank: WireBank, y: Superposition, out: np.ndarray | None = None) -> np.ndarray:
     """Exact int64 signal of a superposition on the wires of a bank.
 
     A pattern is 0 where a free bit's two wires differ and +-2^k elsewhere.
@@ -289,9 +300,12 @@ def superposition_signal(bank: WireBank, y: Superposition) -> np.ndarray:
     low K, the group's transformed coefficient table gathered at the low
     NOT-operator bits (`_SpectralSplit`); at K = 0 each term adds its
     product signal times its coefficient. Every transform partial sum is
-    bounded by sum |c| <= 2^62, so int64 is exact.
+    bounded by sum |c| <= 2^62, so int64 is exact. The signal is written
+    into `out` when given.
     """
     _check_width(y, bank.n_bits)
+    if out is None:
+        out = np.empty(bank.n_ticks, dtype=np.int64)
     if y.is_pattern:
         zero, sign = bank.pattern_planes(y.allowed)
         magnitude = 1 << y.free_bit_count
@@ -300,14 +314,18 @@ def superposition_signal(bank: WireBank, y: Superposition) -> np.ndarray:
         sign_bits, level = bank.bits(np.stack([sign, zero]))
         level <<= 1
         level |= sign_bits
-        return levels[level]
-    return _explicit_signal(bank, y)
+        # mode="clip" (every index is in range) writes into `out` unbuffered.
+        return np.take(levels, level, out=out, mode="clip")
+    return _explicit_signal(bank, y, out=out)
 
 
-def _explicit_signal(bank: WireBank, y: Superposition, low_bits: int | None = None) -> np.ndarray:
+def _explicit_signal(
+    bank: WireBank, y: Superposition, low_bits: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """`superposition_signal` of an explicit sum; `low_bits` pins K."""
     split = _SpectralSplit(bank, y, low_bits, readout=False)
-    signal = np.zeros(bank.n_ticks, dtype=np.int64)
+    signal = np.empty(bank.n_ticks, dtype=np.int64) if out is None else out
+    signal.fill(0)
     for first, planes in split.batches():
         if split.index is None:
             # One term per group: its product signal times its coefficient.
@@ -481,9 +499,11 @@ def zero_fraction(sys: ReferenceSystem, y: Superposition, ticks: int) -> Report:
     if not y.is_pattern:
         raise ValueError("zero statistics apply to pattern superpositions")
     _check_width(y, sys.n_bits)
-    bank = WireBank.draw(sys, tick_range(ticks))
-    zero, _ = bank.pattern_planes(y.allowed)
-    fraction = int(bank.count(zero)) / ticks
+
+    def consume(lo: int, raw: WireBank, bank: WireBank) -> int:
+        return int(raw.count(raw.pattern_planes(y.allowed)[0]))
+
+    fraction = sum(map_window(sys, count_window(ticks), consume)) / ticks
     k = y.free_bit_count
     expected = 1.0 - 0.5**k
     tolerance = 5.0 * sqrt(expected * (1.0 - expected) / ticks)
@@ -517,10 +537,14 @@ def membership_estimate(
     5*sqrt(A/T) with A the sum of squared coefficients.
     """
     _check_string(probe, sys.n_bits)
-    raw = WireBank.draw(sys, tick_range(ticks))
-    # One exact integer and one division: the same float as the mean of
-    # the int64 products.
-    estimate = _correlation(raw.apply(prog), y, raw.string_planes(probe)) / ticks
+    _check_width(y, sys.n_bits)
+
+    def consume(lo: int, raw: WireBank, bank: WireBank) -> int:
+        return _correlation(bank, y, raw.string_planes(probe))
+
+    # One exact integer, summed over the chunks, and one division: the same
+    # float as the mean of the int64 products.
+    estimate = sum(map_window(sys, count_window(ticks), consume, prog)) / ticks
     expected = float(membership_coefficient(prog, y, probe))
     tolerance = 5.0 * sqrt(y.sq_coeff_sum() / ticks)
     name = f"membership[{format_bits(probe, sys.n_bits)}]"

@@ -8,21 +8,41 @@ exact integer arithmetic on these samples.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
 
 from .compiler import InsertionProgram, _check_int
 from .report import Report, StatEntry
-from .rng import coin_flips, sign_planes, stream_key, unpack_signs
+from .rng import coin_flips, hash_scratch, sign_planes, stream_key, unpack_signs
 
 MAX_BITS = 32
 DEFAULT_SEED = 42
 
+# Samples (wires x ticks) per chunk of a long window: 512 KiB of sign
+# planes. Chunks are whole 64-tick words, so the planes of consecutive
+# chunks concatenate to those of the window.
+_CHUNK_SAMPLES = 1 << 22
+# Windows of at least this many samples run their chunks on _WORKERS
+# threads; smaller ones are serial and start no thread. On a shared 2-core
+# host, two threads were 0.9-1.3x as fast as one at 2^21-2^23 samples,
+# depending on whether the second core was free, and 1.2-1.6x from 2^24 up;
+# below 2^24 the threads add more run-to-run spread than speed.
+_PARALLEL_MIN = 1 << 24
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-def as_tick_array(ticks) -> tuple[np.ndarray, bool]:
-    """Normalize ticks to a uint64 array; the flag marks scalar input."""
+
+def as_window(ticks) -> tuple[range | np.ndarray, bool]:
+    """Normalize ticks to a window: a `range` of consecutive ticks stays a
+    range, which no draw expands into an array, and anything else becomes a
+    uint64 array. The flag marks scalar input."""
+    if isinstance(ticks, range) and ticks.step == 1:
+        if ticks and not 0 <= ticks.start < ticks.stop <= 1 << 64:
+            raise ValueError("ticks must be in [0, 2**64)")
+        return ticks, False
     scalar = isinstance(ticks, (int, np.integer))
     arr = np.atleast_1d(np.asarray(ticks))
     if arr.dtype.kind not in "iu":
@@ -36,6 +56,12 @@ def tick_range(n_ticks: int) -> np.ndarray:
     """The tick window [0, n_ticks) as a uint64 array."""
     _check_int(n_ticks, "tick count", 1)
     return np.arange(n_ticks, dtype=np.uint64)
+
+
+def count_window(n_ticks: int) -> range:
+    """The tick window [0, n_ticks) of a statistic over `n_ticks` ticks."""
+    _check_int(n_ticks, "tick count", 1)
+    return range(n_ticks)
 
 
 @dataclass(frozen=True)
@@ -59,14 +85,27 @@ class ReferenceSystem:
         """+-1 sample(s) of the reference wire (bit, value)."""
         _check_int(bit, "bit index", 0, self.n_bits)
         _check_int(value, "bit value", 0, 2)
-        arr, scalar = as_tick_array(ticks)
-        out = coin_flips(stream_key(self.seed, 2 * bit + value), arr)
+        window, scalar = as_window(ticks)
+        out = coin_flips(stream_key(self.seed, 2 * bit + value), window)
         return int(out[0]) if scalar else out
 
-    def wire_table(self, prog: InsertionProgram | None, ticks: np.ndarray) -> np.ndarray:
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Stream keys of the 2*n_bits wires, wire (bit, value) at 2*bit + value."""
+        keys = np.array([stream_key(self.seed, channel) for channel in range(2 * self.n_bits)], dtype=np.uint64)
+        keys.flags.writeable = False
+        return keys
+
+    def wire_table(self, prog: InsertionProgram | None, ticks) -> np.ndarray:
         """All effective wire samples as an int8 array of shape (n_bits, 2, T)."""
-        bank = WireBank.draw(self, ticks).apply(prog)
-        return bank.signs(bank.planes)
+        window, _ = as_window(ticks)
+        out = np.empty((self.n_bits, 2, len(window)), dtype=np.int8)
+
+        def consume(lo: int, raw: "WireBank", bank: "WireBank") -> None:
+            out[..., lo : lo + bank.n_ticks] = bank.signs(bank.planes)
+
+        map_window(self, window, consume, prog)
+        return out
 
 
 class WireBank:
@@ -85,26 +124,32 @@ class WireBank:
         self.n_ticks = n_ticks
 
     @classmethod
-    def draw(cls, system: ReferenceSystem, ticks) -> "WireBank":
-        """The raw reference wires; each is hashed exactly once."""
-        arr, _ = as_tick_array(ticks)
-        keys = [stream_key(system.seed, channel) for channel in range(2 * system.n_bits)]
-        planes = sign_planes(keys, arr).reshape(system.n_bits, 2, -1)
-        return cls(planes, arr.size)
+    def draw(cls, system: ReferenceSystem, ticks, out: np.ndarray | None = None, scratch=None) -> "WireBank":
+        """The raw reference wires; each is hashed exactly once. `out` (flat
+        uint8 of the planes' size) and `scratch` (`rng.hash_scratch`) are
+        reused when given."""
+        window, _ = as_window(ticks)
+        keys = system.keys
+        if out is not None:
+            out = out.reshape(len(keys), -1)
+        planes = sign_planes(keys, window, out, scratch).reshape(system.n_bits, 2, -1)
+        return cls(planes, len(window))
 
     @property
     def n_bits(self) -> int:
         return self.planes.shape[0]
 
-    def apply(self, prog: InsertionProgram | None) -> "WireBank":
+    def apply(self, prog: InsertionProgram | None, out: np.ndarray | None = None) -> "WireBank":
         """The effective wires under a program's NOT insertions, with every
-        operator built from this bank's planes before any host plane changes."""
+        operator built from this bank's planes before any host plane changes.
+        `out` (flat uint8 of the planes' size) is reused when given."""
         if prog is None:
             return self
         if prog.n_bits != self.n_bits:
             raise ValueError(f"program n_bits={prog.n_bits} does not match system n_bits={self.n_bits}")
         operators = self.operators()
-        planes = self.planes.copy()
+        planes = np.empty_like(self.planes) if out is None else out.reshape(self.planes.shape)
+        np.copyto(planes, self.planes)
         for ins in prog.insertions:
             planes[ins.host_bit, ins.host_value] ^= operators[ins.target]
         return WireBank(planes, self.n_ticks)
@@ -167,6 +212,72 @@ class WireBank:
         return unpack_signs(planes, self.n_ticks)
 
 
+def map_window(system: ReferenceSystem, window, consume, prog: InsertionProgram | None = None) -> list:
+    """`consume(lo, raw, bank)` on every chunk of a window; the results in
+    window order.
+
+    `window` is a `range` of consecutive ticks or a tick array (see
+    `as_window`). A chunk is at most _CHUNK_SAMPLES samples of whole
+    64-tick words: `raw` holds its raw wires, `bank` their effective wires
+    under `prog` (`raw` itself without one), and `lo` is the chunk's first
+    position in the window. Every sample is a pure function of (seed, wire,
+    tick), so chunks may run in any order: a window of at least
+    _PARALLEL_MIN samples runs them on up to _WORKERS threads, which take
+    the next chunk from one shared iterator and are all joined before this
+    returns, also when one of them raised. Each worker reuses one set of
+    buffers for all its chunks, so `consume` must not keep `raw` or `bank`.
+    A window of at most one chunk is drawn whole on the calling thread.
+    """
+    n_keys, n = 2 * system.n_bits, len(window)
+    step = max(64, _CHUNK_SAMPLES // n_keys // 64 * 64)
+    if n <= step:
+        raw = WireBank.draw(system, window)
+        return [consume(0, raw, raw.apply(prog))]
+    workers = min(_WORKERS, -(-n // step)) if n_keys * n >= _PARALLEL_MIN else 1
+    # Each worker takes the next chunk from one shared iterator (a single
+    # call under the interpreter lock), so a worker on a busy core takes fewer.
+    starts = iter(range(0, n, step))
+    results: list = [None] * -(-n // step)
+    jobs = []
+    for _ in range(workers):
+        # The caller allocates every worker's buffers: what a worker thread
+        # allocates goes to that thread's own malloc arena and stays resident.
+        size = n_keys * step // 8
+        scratch = hash_scratch(n_keys, step)
+        effective = None
+        if prog is not None:
+            # A chunk's hash scratch is idle once the chunk is drawn, so it
+            # also holds the effective planes where it is large enough: at
+            # the default sizes it has 1 MiB for their 512 KiB.
+            fits = scratch.nbytes >= size
+            effective = scratch.reshape(-1).view(np.uint8) if fits else np.empty(size, dtype=np.uint8)
+        buffers = (np.empty(size, dtype=np.uint8), effective, scratch)
+        jobs.append((system, window, prog, consume, starts, step, buffers, results))
+    if workers > 1:
+        # Imported here: it costs serial callers 5-10 ms of start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Leaving the block joins every worker, also when one of them raised.
+        with ThreadPoolExecutor(workers, thread_name_prefix="rtwlogic-chunk") as pool:
+            for future in [pool.submit(_run_chunks, *job) for job in jobs]:
+                future.result()
+    else:
+        _run_chunks(*jobs[0])
+    return results
+
+
+def _run_chunks(system, window, prog, consume, starts, step: int, buffers, results: list) -> None:
+    """Draw, apply and consume the `step` ticks from each start in `starts`,
+    in one set of buffers, storing each result at its chunk's index."""
+    planes, effective, scratch = buffers
+    for lo in starts:
+        chunk = window[lo : lo + step]
+        size = 2 * system.n_bits * 8 * -(-len(chunk) // 64)
+        raw = WireBank.draw(system, chunk, planes[:size], scratch)
+        bank = raw.apply(prog, None if effective is None else effective[:size])
+        results[lo // step] = consume(lo, raw, bank)
+
+
 def orthogonality_report(sys: ReferenceSystem, ticks: int) -> Report:
     """Empirical means behind the zero-mean and orthogonality identities.
 
@@ -174,25 +285,35 @@ def orthogonality_report(sys: ReferenceSystem, ticks: int) -> Report:
     same-wire squares (exactly 1), and product-vs-factor correlations.
     Mean estimators carry a 5/sqrt(T) tolerance; squares carry zero. Each
     estimate is (T - 2 * popcount) / T of a plane or an XOR of planes: the
-    same float as the mean of the int8 samples or products.
+    same float as the mean of the int8 samples or products. The popcounts
+    are summed over the chunks of the window.
     """
-    bank = WireBank.draw(sys, tick_range(ticks))
     wires = [(bit, value) for bit in range(sys.n_bits) for value in (0, 1)]
-    planes = dict(zip(wires, bank.planes.reshape(len(wires), -1)))
 
-    def mean(plane: np.ndarray) -> float:
-        return (ticks - 2 * int(bank.count(plane))) / ticks
+    def consume(lo: int, raw: WireBank, bank: WireBank) -> np.ndarray:
+        planes = raw.planes.reshape(len(wires), -1)
+        counts = [raw.count(planes), raw.count(planes ^ planes)]
+        for a in range(len(wires) - 1):
+            # Per pair (a, b > a): the product, and its correlations with
+            # either factor, which reduce to the other factor's mean.
+            prod = planes[a] ^ planes[a + 1 :]
+            per_pair = [raw.count(prod), raw.count(prod ^ planes[a]), raw.count(prod ^ planes[a + 1 :])]
+            counts.append(np.stack(per_pair, axis=1).ravel())
+        return np.concatenate(counts)
+
+    # In the order of the entries below.
+    counts = iter(sum(map_window(sys, count_window(ticks), consume)).tolist())
+
+    def mean() -> float:
+        return (ticks - 2 * next(counts)) / ticks
 
     tol = 5.0 / sqrt(ticks)
-    entries = [StatEntry(f"mean[W{w}]", mean(planes[w]), 0.0, tol, ticks) for w in wires]
-    entries += [StatEntry(f"mean[W{w}^2]", mean(planes[w] ^ planes[w]), 1.0, 0.0, ticks) for w in wires]
+    entries = [StatEntry(f"mean[W{w}]", mean(), 0.0, tol, ticks) for w in wires]
+    entries += [StatEntry(f"mean[W{w}^2]", mean(), 1.0, 0.0, ticks) for w in wires]
     for a, wa in enumerate(wires):
         for wb in wires[a + 1 :]:
-            prod = planes[wa] ^ planes[wb]
-            entries.append(StatEntry(f"mean[W{wa}*W{wb}]", mean(prod), 0.0, tol, ticks))
-            # The product is itself a fair telegraph wave; correlating it
-            # against either factor reduces to the other factor's mean.
-            entries.append(StatEntry(f"corr[W{wa}*W{wb}, W{wa}]", mean(prod ^ planes[wa]), 0.0, tol, ticks))
-            entries.append(StatEntry(f"corr[W{wa}*W{wb}, W{wb}]", mean(prod ^ planes[wb]), 0.0, tol, ticks))
+            entries.append(StatEntry(f"mean[W{wa}*W{wb}]", mean(), 0.0, tol, ticks))
+            entries.append(StatEntry(f"corr[W{wa}*W{wb}, W{wa}]", mean(), 0.0, tol, ticks))
+            entries.append(StatEntry(f"corr[W{wa}*W{wb}, W{wb}]", mean(), 0.0, tol, ticks))
     footer = f"{{count}} estimators over {len(wires)} wires, {{failed}} outside tolerance"
     return Report(entries, footer)

@@ -25,7 +25,7 @@ from .compiler import (
     random_cascade,
 )
 from .hyperspace import Superposition, oracle_apply, superposition_signal
-from .reference import DEFAULT_SEED, ReferenceSystem, WireBank, tick_range
+from .reference import DEFAULT_SEED, ReferenceSystem, WireBank, count_window, map_window
 from .report import Report
 
 DEFAULT_TICKS = 1024
@@ -97,20 +97,26 @@ def _bank_equivalence(
     sys: ReferenceSystem, prog: InsertionProgram, y: Superposition, expected_y: Superposition, ticks: int
 ) -> EquivalenceResult:
     """Signal of `y` on the program's wires vs signal of `expected_y` on the
-    raw wires, both from one draw of the raw bank."""
-    raw = WireBank.draw(sys, tick_range(ticks))
-    if y.is_pattern and expected_y.is_pattern and y.free_bit_count == expected_y.free_bit_count:
-        # Both signals are 0 or +-2^k: they differ where exactly one is zero,
-        # or where neither is and the signs differ. Only a bank with such a
-        # tick is evaluated as integers, below.
-        zero_a, sign_a = raw.apply(prog).pattern_planes(y.allowed)
-        zero_b, sign_b = raw.pattern_planes(expected_y.allowed)
-        differ = (zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b))
-        if not raw.count(differ):
-            return EquivalenceResult(raw.n_ticks)
-    transformed = superposition_signal(raw.apply(prog), y)
-    expected = superposition_signal(raw, expected_y)
-    return compare_signals(transformed, expected)
+    raw wires, both from one draw of the raw bank, chunk by chunk; the
+    first mismatch in tick order is kept."""
+    patterns = y.is_pattern and expected_y.is_pattern and y.free_bit_count == expected_y.free_bit_count
+
+    def consume(lo: int, raw: WireBank, bank: WireBank) -> tuple[int, int, int] | None:
+        if patterns:
+            # Both signals are 0 or +-2^k: they differ where exactly one is
+            # zero, or where neither is and the signs differ. Only a chunk
+            # with such a tick is evaluated as integers, below.
+            zero_a, sign_a = bank.pattern_planes(y.allowed)
+            zero_b, sign_b = raw.pattern_planes(expected_y.allowed)
+            differ = (zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b))
+            if not raw.count(differ):
+                return None
+        transformed, expected = superposition_signal(bank, y), superposition_signal(raw, expected_y)
+        mismatch = compare_signals(transformed, expected).first_mismatch
+        return mismatch and (lo + mismatch[0], *mismatch[1:])
+
+    mismatches = map_window(sys, count_window(ticks), consume, prog)
+    return EquivalenceResult(ticks, next(filter(None, mismatches), None))
 
 
 def random_explicit(rng: random.Random, n_bits: int, max_terms: int) -> Superposition:

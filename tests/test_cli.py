@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from rtwlogic import ReferenceSystem, cli, parse_superposition, superposition_sample, tick_range
 from rtwlogic.cli import main
 
 
@@ -89,6 +90,17 @@ def test_simulate_singleton_stays_binary(tmp_path, capsys):
     assert code == 0
     values = {int(l.split(",")[1]) for l in out_path.read_text().strip().splitlines()[1:]}
     assert values == {-1, 1}
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 1000])
+def test_simulate_writes_the_same_csv_in_any_row_chunks(rows, tmp_path, capsys, monkeypatch):
+    argv = ["simulate", "--n", "5", "--seed", "3", "--ticks", "200", "--superposition", "*1*0*"]
+    out_path = tmp_path / "trace.csv"
+    monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+    assert run(argv + ["--out", str(out_path)], capsys)[0] == 0
+    signal = superposition_sample(ReferenceSystem(5, 3), None, parse_superposition("*1*0*"), tick_range(200))
+    want = "\n".join(["tick,signal", *(f"{t},{v}" for t, v in enumerate(signal.tolist()))]) + "\n"
+    assert out_path.read_bytes() == want.encode()
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):

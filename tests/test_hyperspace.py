@@ -142,6 +142,17 @@ def test_budget_guard_sums_numpy_coefficients_without_wrapping(make):
         make(np.int64(1 << 62))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize("bad_first", [False, True], ids=["after", "before"])
+def test_a_bad_string_equal_to_a_good_one_is_rejected_in_either_order(bad, bad_first):
+    # True == 1.0 == 1, so a merge before the check folded the bad key into
+    # the good one when the good one came first.
+    pairs = [(bad, 1), (1, 1)] if bad_first else [(1, 1), (bad, 1)]
+    for make in (Superposition.explicit, lambda n, terms: Superposition(n, terms=tuple(terms))):
+        with pytest.raises(ValueError, match="string must be an integer"):
+            make(2, pairs)
+
+
 def test_explicit_checks_each_value_once(monkeypatch):
     calls = []
 
@@ -155,7 +166,9 @@ def test_explicit_checks_each_value_once(monkeypatch):
     for make in (Superposition.explicit, lambda n, terms: Superposition(n, terms=tuple(terms))):
         calls.clear()
         make(3, pairs)
-        assert sorted(calls) == ["coefficient"] * 3 + ["n_bits"] + ["string"] * 2
+        # One string check per input pair: the repeated string 1 is checked
+        # before the merge, so it cannot hide an unchecked key.
+        assert sorted(calls) == ["coefficient"] * 3 + ["n_bits"] + ["string"] * 3
 
 
 pair_lists = st.integers(1, 5).flatmap(

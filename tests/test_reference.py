@@ -10,7 +10,7 @@ from rtwlogic.hyperspace import Superposition, membership_estimate, zero_fractio
 from rtwlogic.reference import (
     MAX_BITS,
     ReferenceSystem,
-    as_tick_array,
+    as_window,
     orthogonality_report,
     tick_range,
 )
@@ -206,7 +206,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         tick_range(0)
     with pytest.raises(ValueError):
-        as_tick_array(2.5)
+        as_window(2.5)
     with pytest.raises(ValueError):
         orthogonality_report(sys2, 0)
 

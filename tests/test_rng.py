@@ -1,5 +1,5 @@
 """Keyed counter-based generator: determinism, golden values, fairness,
-and the same planes from any number of hashing threads."""
+and the same planes from the window driver on any number of threads."""
 
 import concurrent.futures
 import multiprocessing
@@ -9,9 +9,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rtwlogic import rng
-from rtwlogic.rng import _mix64_array, coin_flip, coin_flips, mix64, sign_planes, stream_key
+from rtwlogic import reference, rng
+from rtwlogic.compiler import GateCircuit, cnot, compile_circuit, not_gate
+from rtwlogic.reference import ReferenceSystem, WireBank, map_window
+from rtwlogic.rng import _mix64_array, _mix64_top, coin_flip, coin_flips, mix64, sign_planes, stream_key
 
 MASK64 = (1 << 64) - 1
 
@@ -32,6 +36,14 @@ def test_mix64_array_matches_scalar():
     got = _mix64_array(xs.copy())
     want = np.array([mix64(int(x)) for x in xs], dtype=np.uint64)
     assert np.array_equal(got, want)
+
+
+@given(st.lists(st.integers(0, MASK64), min_size=1, max_size=50))
+def test_the_vector_kernel_keeps_bit_63_of_the_finalizer(xs):
+    # The kernel drops the last xor-shift, x ^= x >> 31, which leaves bit 63 alone.
+    x = np.array(xs, dtype=np.uint64)
+    got = _mix64_top(x, np.empty_like(x)) >> np.uint64(63)
+    assert got.tolist() == [mix64(v) >> 63 for v in xs]
 
 
 def test_stream_keys_differ_across_channels_and_seeds():
@@ -68,6 +80,22 @@ def test_sign_planes_match_the_scalar_path_across_tiles():
         assert bits[w, : ticks.size].tolist() == want
 
 
+def test_a_range_window_hashes_like_its_tick_array(monkeypatch):
+    # Counters built from a start tick, near 2^64 too, in tiles of 64 ticks,
+    # into a reused buffer whose old bytes, padding included, must all be
+    # overwritten.
+    monkeypatch.setattr(rng, "_TILE", 1 << 8)
+    keys = [stream_key(8, ch) for ch in range(6)]
+    out = np.full((6, 8 * 41), 0xFF, dtype=np.uint8)
+    scratch = rng.hash_scratch(6, 2600)
+    for start in (0, 77, 2**64 - 2600):
+        for n in (0, 1, 65, 2600):
+            window = range(start, start + n)
+            want = sign_planes(keys, np.arange(start, start + n, dtype=np.uint64))
+            got = sign_planes(keys, window, out[:, : want.shape[1]], scratch)
+            assert np.array_equal(got, want), (start, n)
+
+
 # Golden values frozen after the generator was chosen; any change to the
 # mixing constants or key schedule must show up here.
 @pytest.mark.parametrize(
@@ -91,100 +119,123 @@ def test_flip_mean_is_fair_at_five_sigma():
     assert abs(mean) <= 5.0 / np.sqrt(1_000_000)
 
 
-def planes_per_worker_count(monkeypatch, keys, ticks) -> list[np.ndarray]:
+def window_planes(system: ReferenceSystem, ticks, prog=None) -> np.ndarray:
+    """A window's effective sign planes, put together from the chunks of
+    the window driver in window order."""
+    return np.concatenate(map_window(system, ticks, lambda lo, raw, bank: bank.planes.copy(), prog), axis=-1)
+
+
+def planes_per_worker_count(monkeypatch, system, ticks, prog=None) -> list[np.ndarray]:
     out = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(rng, "_WORKERS", workers)
-        out.append(sign_planes(keys, ticks))
+        monkeypatch.setattr(reference, "_WORKERS", workers)
+        out.append(window_planes(system, ticks, prog))
     return out
+
+
+def every_gate(n_bits: int):
+    gates = [not_gate(bit) for bit in range(n_bits)] + [cnot(bit, bit + 1) for bit in range(n_bits - 1)]
+    return compile_circuit(GateCircuit(n_bits, tuple(gates)))
 
 
 @pytest.mark.parametrize("n_keys", range(1, 41))
 def test_sign_planes_do_not_depend_on_the_worker_count(n_keys, monkeypatch):
-    # A low threshold and small tiles give every worker several tiles, the
-    # last one ragged, while the draws stay small.
-    monkeypatch.setattr(rng, "_PARALLEL_MIN", 1 << 12)
-    monkeypatch.setattr(rng, "_TILE", 1 << 10)
-    keys = [stream_key(5, ch) for ch in range(n_keys)]
-    edge = -(-rng._PARALLEL_MIN // n_keys)  # fewest ticks drawn on threads
+    # A system draws 2N keys: an even n_keys reads the raw planes of N =
+    # n_keys / 2 bits, an odd one the effective planes under a program on
+    # N = (n_keys + 1) / 2 bits. A low threshold and small chunks and tiles
+    # give every worker several chunks of several tiles, the last one
+    # ragged, while the draws stay small.
+    monkeypatch.setattr(reference, "_PARALLEL_MIN", 1 << 12)
+    monkeypatch.setattr(reference, "_CHUNK_SAMPLES", 1 << 10)
+    monkeypatch.setattr(rng, "_TILE", 1 << 8)
+    system = ReferenceSystem(-(-n_keys // 2), 5)
+    prog = every_gate(system.n_bits) if n_keys % 2 else None
+    edge = -(-reference._PARALLEL_MIN // (2 * system.n_bits))  # fewest ticks drawn on threads
     gen = np.random.default_rng(n_keys)
     for n in sorted({0, 1, 63, 64, 65, 191, 64 * 11 - 1, 64 * 11 + 1, edge - 1, edge, edge + 1, 4097}):
-        offset = gen.integers(0, 2**40, dtype=np.uint64)
+        offset = int(gen.integers(0, 2**40))
         wide = gen.integers(0, 2**63, size=2 * n, dtype=np.uint64)
-        windows = (np.arange(n, dtype=np.uint64) + offset, gen.permutation(n).astype(np.uint64), wide[::2])
+        contiguous = np.arange(n, dtype=np.uint64) + np.uint64(offset)
+        windows = (contiguous, range(offset, offset + n), gen.permutation(n).astype(np.uint64), wide[::2])
         for ticks in windows:
-            serial, *threaded = planes_per_worker_count(monkeypatch, keys, ticks)
+            whole = WireBank.draw(system, ticks).apply(prog).planes
+            serial, *threaded = planes_per_worker_count(monkeypatch, system, ticks, prog)
+            assert np.array_equal(serial, whole), (n, ticks[:3])
             for planes in threaded:
                 assert np.array_equal(planes, serial), (n, ticks[:3])
 
 
 @pytest.mark.parametrize("n_keys", [1, 16, 17, 40])
 def test_the_parallel_threshold_changes_no_plane(n_keys, monkeypatch):
-    # At 16 keys the threshold falls at 2^20 ticks: 2^20 - 1 is serial, 2^20
-    # and 2^20 + 1 are threaded.
-    edge = -(-rng._PARALLEL_MIN // n_keys)
-    keys = [stream_key(9, ch) for ch in range(n_keys)]
+    # At the real chunk size and threshold: with 16 keys (8 bits) the
+    # threshold falls at 2^20 ticks, so 2^20 - 1 is serial and 2^20 and
+    # 2^20 + 1 are threaded. n_keys rounds up to whole systems.
+    system = ReferenceSystem(-(-n_keys // 2), 9)
+    keys = system.keys.tolist()
+    edge = -(-reference._PARALLEL_MIN // len(keys))
     for n in (edge - 1, edge, edge + 1):
-        serial, *threaded = planes_per_worker_count(monkeypatch, keys, np.arange(n, dtype=np.uint64))
+        serial, *threaded = planes_per_worker_count(monkeypatch, system, range(n))
         for planes in threaded:
             assert np.array_equal(planes, serial)
-        rows = (0, n_keys - 1)
-        bits = np.unpackbits(serial[rows, :], axis=1, bitorder="little")
+        rows = serial.reshape(len(keys), -1)[(0, len(keys) - 1), :]
+        bits = np.unpackbits(rows, axis=1, bitorder="little")
         for row, key in zip(bits, (keys[0], keys[-1])):
             ticks = (0, n // 2, n - 1)
             assert [row[t] == 1 for t in ticks] == [coin_flip(key, t) == -1 for t in ticks]
 
 
 def _no_threads(*args, **kwargs):
-    raise AssertionError("a small draw started threads")
+    raise AssertionError("a small window started threads")
 
 
 def test_small_draws_start_no_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_threads)
-    monkeypatch.setattr(rng, "_WORKERS", 2)
+    monkeypatch.setattr(reference, "_WORKERS", 2)
     # the largest draw of a random-verify trial: 8 bits x 2 wires x 1024 ticks
-    sign_planes([stream_key(1, ch) for ch in range(16)], np.arange(1024, dtype=np.uint64))
+    window_planes(ReferenceSystem(8, 1), range(1024))
+    # three chunks, but 2^23 + 2^21 samples: below the threshold
+    window_planes(ReferenceSystem(20, 1), range(1 << 18), every_gate(20))
 
 
-def _hash_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("rtwlogic-hash")]
+def _chunk_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("rtwlogic-chunk")]
 
 
 def _threaded_draw(monkeypatch, workers: int = 2):
-    """Keys, ticks and serial planes of a draw that then runs on `workers`
-    threads, in 40 tiles of 128 ticks."""
-    keys = [stream_key(11, ch) for ch in range(7)]
-    ticks = np.arange(5000, dtype=np.uint64)
-    want = sign_planes(keys, ticks)
-    monkeypatch.setattr(rng, "_WORKERS", workers)
-    monkeypatch.setattr(rng, "_PARALLEL_MIN", 1 << 10)
-    monkeypatch.setattr(rng, "_TILE", 1 << 10)
-    return keys, ticks, want
+    """System, ticks and serial planes of a window that then runs on
+    `workers` threads, in 40 chunks of 128 ticks."""
+    system = ReferenceSystem(4, 11)
+    ticks = range(5000)
+    want = WireBank.draw(system, ticks).planes
+    monkeypatch.setattr(reference, "_WORKERS", workers)
+    monkeypatch.setattr(reference, "_PARALLEL_MIN", 1 << 10)
+    monkeypatch.setattr(reference, "_CHUNK_SAMPLES", 1 << 10)
+    return system, ticks, want
 
 
 def test_a_threaded_draw_leaves_no_thread_behind(monkeypatch):
-    keys, ticks, want = _threaded_draw(monkeypatch)
+    system, ticks, want = _threaded_draw(monkeypatch)
     started = []
-    hash_tiles = rng._hash_tiles
+    run_chunks = reference._run_chunks
 
     def record(*args) -> None:
         started.append(threading.current_thread().name)
-        hash_tiles(*args)
+        run_chunks(*args)
 
-    monkeypatch.setattr(rng, "_hash_tiles", record)
-    assert np.array_equal(sign_planes(keys, ticks), want)
-    assert len(started) == 2 and all(name.startswith("rtwlogic-hash") for name in started)
-    assert _hash_threads() == []
+    monkeypatch.setattr(reference, "_run_chunks", record)
+    assert np.array_equal(window_planes(system, ticks), want)
+    assert len(started) == 2 and all(name.startswith("rtwlogic-chunk") for name in started)
+    assert _chunk_threads() == []
 
 
 def test_a_failing_worker_fails_the_draw_after_every_worker_ends(monkeypatch):
-    # The first worker raises at once; the others finish their tiles later.
-    # A worker's error must reach the caller rather than leave zero tiles,
-    # and only once no worker still writes into the planes.
-    keys, ticks, _ = _threaded_draw(monkeypatch, workers=3)
+    # The first worker raises at once; the others finish their chunks later.
+    # A worker's error must reach the caller rather than leave chunks out,
+    # and only once no worker still writes into the caller's buffers.
+    system, ticks, _ = _threaded_draw(monkeypatch, workers=3)
     calls, finished = [], []
     lock = threading.Lock()
-    hash_tiles = rng._hash_tiles
+    run_chunks = reference._run_chunks
 
     def fail_first(*args) -> None:
         with lock:
@@ -193,25 +244,25 @@ def test_a_failing_worker_fails_the_draw_after_every_worker_ends(monkeypatch):
         if first:
             raise RuntimeError("worker failed")
         time.sleep(0.2)
-        hash_tiles(*args)
+        run_chunks(*args)
         finished.append(None)
 
-    monkeypatch.setattr(rng, "_hash_tiles", fail_first)
+    monkeypatch.setattr(reference, "_run_chunks", fail_first)
     with pytest.raises(RuntimeError, match="worker failed"):
-        sign_planes(keys, ticks)
+        window_planes(system, ticks)
     assert len(finished) == 2
-    assert _hash_threads() == []
+    assert _chunk_threads() == []
 
 
 def test_concurrent_callers_get_the_serial_planes(monkeypatch):
     # More workers than cores and a short switch interval: racing callers,
     # each starting its own workers, must all get the serial planes.
-    keys, ticks, want = _threaded_draw(monkeypatch, workers=3)
+    system, ticks, want = _threaded_draw(monkeypatch, workers=3)
     seen = []
 
     def draw() -> None:
         for _ in range(20):
-            seen.append(np.array_equal(sign_planes(keys, ticks), want))
+            seen.append(np.array_equal(window_planes(system, ticks), want))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -227,17 +278,17 @@ def test_concurrent_callers_get_the_serial_planes(monkeypatch):
     assert len(seen) == 120 and all(seen)
 
 
-def _draw_and_compare(keys, ticks, want) -> None:
-    sys.exit(0 if np.array_equal(sign_planes(keys, ticks), want) else 1)
+def _draw_and_compare(system, ticks, want) -> None:
+    sys.exit(0 if np.array_equal(window_planes(system, ticks), want) else 1)
 
 
 def test_a_forked_child_hashes_on_its_own_pool(monkeypatch):
-    # The parent has drawn on threads before the fork; the child starts its own.
-    monkeypatch.setattr(rng, "_WORKERS", 2)
-    keys = [stream_key(3, ch) for ch in range(16)]
-    ticks = np.arange(rng._PARALLEL_MIN // 16 + 77, dtype=np.uint64)
-    want = sign_planes(keys, ticks)
-    child = multiprocessing.get_context("fork").Process(target=_draw_and_compare, args=(keys, ticks, want))
+    # The parent has run a window on threads before the fork; the child starts its own.
+    monkeypatch.setattr(reference, "_WORKERS", 2)
+    system = ReferenceSystem(8, 3)
+    ticks = range(reference._PARALLEL_MIN // 16 + 77)
+    want = window_planes(system, ticks)
+    child = multiprocessing.get_context("fork").Process(target=_draw_and_compare, args=(system, ticks, want))
     child.start()
     child.join(timeout=60)
     hung = child.is_alive()

@@ -9,19 +9,21 @@ spectral evaluator at every kind of split of the strings.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtwlogic import hyperspace, verify
+from rtwlogic import hyperspace, reference, verify
 from rtwlogic.compiler import (
     GateCircuit,
     InsertionProgram,
     circuit_to_affine,
     cnot,
     compile_circuit,
+    interacting_chain,
     not_gate,
 )
 from rtwlogic.hyperspace import (
@@ -328,3 +330,98 @@ def test_checks_fail_where_the_reference_does_when_an_insertion_is_dropped(dropp
     got = signal_equivalence_check(system, circuit, everything, ticks)
     assert not want.passed and not got.passed
     assert got.first_mismatch == want.first_mismatch
+
+
+def chunked_results(system, circuit, y, probe, window_start, ticks, shuffle_seed) -> list:
+    """Every windowed result of the library on one case, as plain values."""
+    n_bits = system.n_bits
+    prog = compile_circuit(circuit)
+    arrays = (
+        np.arange(window_start, window_start + ticks, dtype=np.uint64),
+        np.arange(window_start, window_start + 3 * ticks, dtype=np.uint64)[::3],
+        np.random.default_rng(shuffle_seed).permutation(ticks).astype(np.uint64) + np.uint64(window_start),
+    )
+    out = [superposition_sample(system, prog, y, window).tolist() for window in (range(ticks), *arrays)]
+    out.append(product_string_sample(system, prog, probe, arrays[2]).tolist())
+    out.append(system.wire_table(prog, arrays[1]).tolist())
+    out.append(membership_estimate(system, prog, y, probe, ticks).entries[0].estimate.hex())
+    if y.is_pattern:
+        out.append(zero_fraction(system, y, ticks).entries[0].estimate.hex())
+    out.append([e.estimate.hex() for e in orthogonality_report(system, ticks).entries])
+    out.append(signal_equivalence_check(system, circuit, y, ticks).to_dict())
+    chain = interacting_chain(n_bits - 1) if n_bits > 1 else GateCircuit(1, ())
+    out.append(universe_invariance_check(system, chain, ticks).to_dict())
+    # A program without one of its insertions: the first mismatch, if any,
+    # must be found in the same place whatever the chunks.
+    for check, circ in ((signal_equivalence_check, (circuit, y)), (universe_invariance_check, (chain,))):
+        insertions = sorted(verify.compile_to_insertions(circuit_to_affine(circ[0])).insertions)
+        if insertions:
+            broken = InsertionProgram(n_bits, frozenset(insertions[1:]))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verify, "compile_to_insertions", lambda amap: broken)
+                out.append(check(system, *circ, ticks).to_dict())
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_results_do_not_depend_on_the_chunk_size(data):
+    """Chunks of 64, 128 and 4096 ticks and one chunk for the whole window,
+    on one thread or two, give the same signals, readouts, statistics and
+    equivalence results, first mismatches included."""
+    n_bits = data.draw(st.integers(1, 6))
+    system = ReferenceSystem(n_bits, data.draw(st.integers(0, 2**64 - 1)))
+    circuit = data.draw(circuits(n_bits))
+    y = data.draw(superpositions(n_bits))
+    probe = data.draw(st.integers(0, (1 << n_bits) - 1))
+    ticks = data.draw(st.integers(1, 600))
+    case = (system, circuit, y, probe, data.draw(st.integers(0, 2**40)), ticks, data.draw(st.integers(0, 2**32)))
+    workers = data.draw(st.sampled_from([1, 2]))
+    results = []
+    for budget in (64, 128, 4096, 64 * -(-ticks // 64)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reference, "_CHUNK_SAMPLES", budget * 2 * n_bits)
+            patch.setattr(reference, "_PARALLEL_MIN", 0)
+            patch.setattr(reference, "_WORKERS", workers)
+            results.append(chunked_results(*case))
+    whole = results[-1]
+    for budget, got in zip((64, 128, 4096), results):
+        assert got == whole, budget
+
+
+def test_universe_check_memory_is_flat_in_the_tick_count(monkeypatch):
+    # With chunks of 2^16 ticks, every window from 2^16 to 2^22 ticks is at
+    # least one chunk, so the traced peak is the same for all of them: one
+    # worker's buffers and one chunk's temporaries.
+    system, circuit = ReferenceSystem(4, 3), interacting_chain(3)
+    monkeypatch.setattr(reference, "_CHUNK_SAMPLES", (1 << 16) * 2 * system.n_bits)
+    monkeypatch.setattr(reference, "_WORKERS", 1)
+    peaks = {}
+    for log_ticks in range(16, 23):
+        tracemalloc.start()
+        try:
+            assert universe_invariance_check(system, circuit, 1 << log_ticks).passed
+            peaks[log_ticks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) - min(peaks.values()) < 64 << 10, peaks
+
+
+def test_a_late_first_mismatch_is_found_in_its_chunk(monkeypatch):
+    # The universe signal of 10 bits is nonzero on about 2^-10 of the ticks,
+    # so without one of its insertions CROSSED first shows a mismatch after
+    # many chunks of 64 ticks.
+    n_bits, ticks = 10, 1 << 13
+    system, circuit = ReferenceSystem(n_bits, 5), GateCircuit(n_bits, CROSSED.gates)
+    prog = compile_circuit(circuit)
+    broken = InsertionProgram(n_bits, prog.insertions - {min(prog.insertions)})
+    universe = Superposition.universe(n_bits)
+    want = compare_signals(
+        superposition_sample(system, broken, universe, range(ticks)),
+        superposition_sample(system, None, universe, range(ticks)),
+    )
+    assert want.first_mismatch[0] > 2048
+    monkeypatch.setattr(verify, "compile_to_insertions", lambda amap: broken)
+    for budget in (64, 128, 4096, ticks):
+        monkeypatch.setattr(reference, "_CHUNK_SAMPLES", budget * 2 * n_bits)
+        assert universe_invariance_check(system, circuit, ticks) == want, budget
