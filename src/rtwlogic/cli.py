@@ -28,8 +28,8 @@ from .verify import DEFAULT_TICKS, canonical_suite, random_equivalence_trials
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
-# Rows of a CSV trace formatted and written at a time.
-_CSV_ROWS = 1 << 16
+# Ticks of a trace (CSV rows or JSON values) formatted and written at a time.
+_TRACE_ROWS = 1 << 16
 
 
 def _positive(text: str) -> int:
@@ -99,22 +99,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         program = compile_circuit(circ)
         circuit_lines = circ.to_text().splitlines()
     signal = superposition_sample(system, program, y, range(args.ticks))
-    if args.format == "csv":
-        with Path(args.out).open("w") as out:
+    with Path(args.out).open("w") as out:
+        if args.format == "csv":
             out.write("tick,signal\n")
-            for lo in range(0, signal.size, _CSV_ROWS):
-                rows = enumerate(signal[lo : lo + _CSV_ROWS].tolist(), lo)
+            for lo in range(0, signal.size, _TRACE_ROWS):
+                rows = enumerate(signal[lo : lo + _TRACE_ROWS].tolist(), lo)
                 out.write("".join(f"{tick},{value}\n" for tick, value in rows))
-    else:
-        payload = {
-            "n_bits": args.n,
-            "seed": seed,
-            "ticks": args.ticks,
-            "superposition": y.to_text(),
-            "circuit": circuit_lines,
-            "signals": signal.tolist(),
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
+        else:
+            header = {
+                "n_bits": args.n,
+                "seed": seed,
+                "ticks": args.ticks,
+                "superposition": y.to_text(),
+                "circuit": circuit_lines,
+                "signals": None,
+            }
+            # The bytes of json.dumps(payload, indent=2), with the signals
+            # (the last key) written chunk by chunk.
+            out.write(json.dumps(header, indent=2).removesuffix("null\n}"))
+            sep = "[\n    "
+            for lo in range(0, signal.size, _TRACE_ROWS):
+                out.write(sep + ",\n    ".join(map(str, signal[lo : lo + _TRACE_ROWS].tolist())))
+                sep = ",\n    "
+            out.write("\n  ]\n}\n")
     return 0
 
 

@@ -6,6 +6,12 @@ per tick counter. This makes sampling random-access and order-independent,
 so tick ranges can be evaluated in any order, in parallel, and reproduce
 bit-for-bit. This module is serial and keeps no mutable state; the window
 driver in `reference` runs chunks of a long window on threads.
+
+The vector kernel, `sign_planes`, hashes a window in cache-sized tiles of
+whole 64-tick words. A short window is one tile of all its streams. A
+longer one is hashed stream-major: each tile is a run of one stream's
+ticks, so its counters are one contiguous add of a scalar offset and its
+compare, pack and copy into the output row are contiguous as well.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ _MIX_B_U64 = np.uint64(_MIX_B)
 _TOP_BIT_U64 = np.uint64(1 << 63)
 _SHIFT_A = np.uint64(30)
 _SHIFT_B = np.uint64(27)
-_SHIFT_C = np.uint64(31)
 
 # Hashes per tile in sign_planes: two 512 KiB uint64 buffers stay in L2.
 _TILE = 1 << 16
@@ -50,16 +55,6 @@ def _mix64_top(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     np.right_shift(x, _SHIFT_B, out=tmp)
     x ^= tmp
     x *= _MIX_B_U64
-    return x
-
-
-def _mix64_array(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """SplitMix64 finalizer on a uint64 array, in place; wraps mod 2**64.
-    `tmp` is scratch space of x's shape."""
-    tmp = np.empty_like(x) if tmp is None else tmp
-    _mix64_top(x, tmp)
-    np.right_shift(x, _SHIFT_C, out=tmp)
-    x ^= tmp
     return x
 
 
@@ -93,12 +88,18 @@ def unpack_signs(planes: np.ndarray, count: int) -> np.ndarray:
 
 def hash_scratch(n_keys: int, n_ticks: int) -> np.ndarray:
     """Scratch for `sign_planes` of `n_keys` streams over windows of at most
-    `n_ticks` ticks."""
-    return np.empty((2, n_keys, min(_tile_ticks(n_keys), n_ticks)), dtype=np.uint64)
+    `n_ticks` ticks: two uint64 buffers of one tile (see `_tile_shape`), at
+    most _TILE hashes each. The tiles of a shorter window fit in it too."""
+    return np.empty((2, *_tile_shape(n_keys, n_ticks)), dtype=np.uint64)
 
 
-def _tile_ticks(n_keys: int) -> int:
-    return max(64, _TILE // n_keys // 64 * 64)
+def _tile_shape(n_keys: int, n_ticks: int) -> tuple[int, int]:
+    """Streams and ticks of a tile: whole 64-tick words, at least one and at
+    most _TILE ticks, of as many whole streams as fit in _TILE hashes. So a
+    short window is one tile of all its streams, and a long one is hashed
+    one stream at a time."""
+    cols = min(_TILE, -(-n_ticks // 64) * 64) or 64  # 64 for an empty window
+    return min(n_keys, _TILE // cols), cols
 
 
 def sign_planes(keys, ticks, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -110,32 +111,47 @@ def sign_planes(keys, ticks, out: np.ndarray | None = None, scratch: np.ndarray 
     is 1 where the sample at the window's tick j is -1. Rows are padded with
     zero bits to whole 64-bit words, so XOR, OR and popcount over a row need
     no mask. Each hash is computed once, in place, over tiles of whole
-    64-tick words small enough to stay in cache. `out` (the result's shape)
-    and `scratch` (from `hash_scratch`) are reused when given.
+    64-tick words small enough to stay in cache (see `_tile_shape`). A
+    window longer than one tile is hashed stream-major: a tile is a run of
+    one stream's ticks, so its counters are one contiguous add of a scalar
+    and its compare, pack and copy into `out` are contiguous too. `out` (the
+    result's shape) and `scratch` (from `hash_scratch`) are reused when
+    given.
     """
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
-    n = len(ticks)
+    n_keys, n = keys.shape[0], len(ticks)
     if out is None:
-        out = np.empty((keys.shape[0], 8 * -(-n // 64)), dtype=np.uint8)
+        out = np.empty((n_keys, 8 * -(-n // 64)), dtype=np.uint8)
     # The tiles below write every byte but the padding.
     out[:, -(-n // 8) :] = 0
-    h, tmp = hash_scratch(keys.shape[0], n) if scratch is None else scratch
-    step = _tile_ticks(keys.shape[0])
+    h, tmp = hash_scratch(n_keys, n) if scratch is None else scratch
+    # A scratch sized for a longer window may hold fewer streams of this one.
+    rows, cols = _tile_shape(n_keys, n)
+    rows = min(rows, h.shape[0])
     if isinstance(ticks, range):
         # At tick start + lo + j the hash input is (key + G * (start + lo)) + G * j.
-        steps = np.arange(min(step, n), dtype=np.uint64)
+        steps = np.arange(min(cols, n), dtype=np.uint64)
         steps *= _GOLDEN_U64
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        hs, ts = h[:, : hi - lo], tmp[:, : hi - lo]
-        if isinstance(ticks, range):
-            np.add(keys + np.uint64(_GOLDEN * (ticks.start + lo) & _MASK64), steps[: hi - lo], out=hs)
+        if rows == 1:
+            # Python ints: the offset of a one-stream tile is a scalar.
+            firsts = [key + _GOLDEN * ticks.start for key in keys.ravel().tolist()]
         else:
-            np.multiply(ticks[lo:hi], _GOLDEN_U64, out=ts[0])
-            np.add(keys, ts[0], out=hs)
-        _mix64_top(hs, ts)
-        # The top bit alone decides the sample: set means +1. The scratch
-        # `ts` is free again, so its bytes hold the comparison.
-        negative = np.less(hs, _TOP_BIT_U64, out=ts.view(np.bool_)[:, : hi - lo])
-        out[:, lo // 8 : (hi + 7) // 8] = np.packbits(negative, axis=1, bitorder="little")
+            # A tile of several streams spans the whole window, so lo is 0.
+            firsts = keys + np.uint64(_GOLDEN * ticks.start & _MASK64)
+    for r0 in range(0, n_keys, rows):
+        r1 = min(n_keys, r0 + rows)
+        for lo in range(0, n, cols):
+            hi = min(n, lo + cols)
+            hs, ts = h[: r1 - r0, : hi - lo], tmp[: r1 - r0, : hi - lo]
+            if isinstance(ticks, range):
+                offset = (firsts[r0] + _GOLDEN * lo) & _MASK64 if rows == 1 else firsts[r0:r1]
+                np.add(steps[: hi - lo], offset, out=hs)
+            else:
+                np.multiply(ticks[lo:hi], _GOLDEN_U64, out=ts[0])
+                np.add(keys[r0:r1], ts[0], out=hs)
+            _mix64_top(hs, ts)
+            # The top bit alone decides the sample: set means +1. The scratch
+            # `tmp` is free again, so its bytes hold the comparison.
+            negative = np.less(hs, _TOP_BIT_U64, out=tmp.view(np.bool_)[: r1 - r0, : hi - lo])
+            out[r0:r1, lo // 8 : (hi + 7) // 8] = np.packbits(negative, axis=1, bitorder="little")
     return out

@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-from rtwlogic import ReferenceSystem, cli, parse_superposition, superposition_sample, tick_range
+from rtwlogic import (
+    ReferenceSystem,
+    cli,
+    compile_circuit,
+    parse_circuit,
+    parse_superposition,
+    superposition_sample,
+    tick_range,
+)
 from rtwlogic.cli import main
 
 
@@ -96,7 +104,7 @@ def test_simulate_singleton_stays_binary(tmp_path, capsys):
 def test_simulate_writes_the_same_csv_in_any_row_chunks(rows, tmp_path, capsys, monkeypatch):
     argv = ["simulate", "--n", "5", "--seed", "3", "--ticks", "200", "--superposition", "*1*0*"]
     out_path = tmp_path / "trace.csv"
-    monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+    monkeypatch.setattr(cli, "_TRACE_ROWS", rows)
     assert run(argv + ["--out", str(out_path)], capsys)[0] == 0
     signal = superposition_sample(ReferenceSystem(5, 3), None, parse_superposition("*1*0*"), tick_range(200))
     want = "\n".join(["tick,signal", *(f"{t},{v}" for t, v in enumerate(signal.tolist()))]) + "\n"
@@ -129,6 +137,24 @@ def test_simulate_json_format_with_circuit(circuit_file, tmp_path, capsys):
     run(["simulate", "--n", "3", "--seed", "42", "--ticks", "8",
          "--superposition", "universe", "--format", "json", "--out", str(base)], capsys)
     assert json.loads(base.read_text())["signals"] == payload["signals"]
+
+
+@pytest.mark.parametrize("ticks", [1, 2, (1 << 16) + 1])
+@pytest.mark.parametrize("circuit", [None, "NOT 2\nCNOT 0 1\nCNOT 2 0\n"])
+def test_simulate_streams_the_bytes_of_one_json_dump(ticks, circuit, circuit_file, tmp_path, capsys):
+    # 2^16 + 1 ticks are written in two chunks of values.
+    argv = ["simulate", "--n", "3", "--seed", "11", "--ticks", str(ticks), "--superposition", "1*0",
+            "--format", "json", "--out", str(tmp_path / "trace.json")]
+    program = lines = None
+    if circuit is not None:
+        argv += ["--circuit", circuit_file(circuit)]
+        circ = parse_circuit(circuit, n_bits=3)
+        program, lines = compile_circuit(circ), circ.to_text().splitlines()
+    assert run(argv, capsys)[0] == 0
+    signal = superposition_sample(ReferenceSystem(3, 11), program, parse_superposition("1*0"), range(ticks))
+    payload = {"n_bits": 3, "seed": 11, "ticks": ticks, "superposition": "1*0", "circuit": lines,
+               "signals": signal.tolist()}
+    assert (tmp_path / "trace.json").read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
 
 def test_simulate_rejects_oversized_width(tmp_path, capsys):

@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtwlogic import reference, rng
 from rtwlogic.compiler import GateCircuit, cnot, compile_circuit, not_gate
 from rtwlogic.reference import ReferenceSystem, WireBank, map_window
-from rtwlogic.rng import _mix64_array, _mix64_top, coin_flip, coin_flips, mix64, sign_planes, stream_key
+from rtwlogic.rng import _mix64_top, coin_flip, coin_flips, mix64, sign_planes, stream_key
 
 MASK64 = (1 << 64) - 1
 
@@ -32,8 +32,10 @@ def test_mix64_deterministic_and_injective_on_small_range():
 
 
 def test_mix64_array_matches_scalar():
+    # The vector kernel plus the finalizer's last xor-shift, x ^= x >> 31.
     xs = np.array([0, 1, 2, 977, MASK64, 1 << 63], dtype=np.uint64)
-    got = _mix64_array(xs.copy())
+    got = _mix64_top(xs.copy(), np.empty_like(xs))
+    got ^= got >> np.uint64(31)
     want = np.array([mix64(int(x)) for x in xs], dtype=np.uint64)
     assert np.array_equal(got, want)
 
@@ -94,6 +96,66 @@ def test_a_range_window_hashes_like_its_tick_array(monkeypatch):
             want = sign_planes(keys, np.arange(start, start + n, dtype=np.uint64))
             got = sign_planes(keys, window, out[:, : want.shape[1]], scratch)
             assert np.array_equal(got, want), (start, n)
+
+
+def assert_scalar_planes(planes: np.ndarray, keys, ticks) -> None:
+    """Every bit of `planes` is the scalar sample of its stream and tick,
+    and the padding past the window is zero."""
+    ticks = [int(t) for t in ticks]
+    assert planes.shape == (len(keys), 8 * -(-len(ticks) // 64))
+    bits = np.unpackbits(planes, axis=1, bitorder="little")
+    assert not bits[:, len(ticks) :].any()
+    want = [[coin_flip(int(key), t) == -1 for t in ticks] for key in keys]
+    assert bits[:, : len(ticks)].astype(bool).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tiles_of_any_shape_hash_like_the_scalar_path(data):
+    """One tile of all streams, row blocks of several streams and runs of
+    one stream, with ragged ends, from any start and in scratch sized for
+    a longer window, whose tiles may hold fewer streams of this one."""
+    tile = data.draw(st.sampled_from([1 << 8, 1 << 9]), "tile")
+    n_keys = data.draw(st.integers(1, 64), "n_keys")
+    edges = [k * tile + d for k in range(4) for d in (-64, -1, 0, 1, 63) if 0 <= k * tile + d <= 3 * tile]
+    n = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, 3 * tile)), "n")
+    start = data.draw(st.sampled_from([0, 2**33, 2**64 - n - data.draw(st.integers(0, 100))]), "start")
+    keys = [stream_key(data.draw(st.integers(0, 2**64 - 1)), ch) for ch in range(n_keys)]
+    ticks = range(start, start + n)
+    window = data.draw(st.sampled_from(["range", "array", "shuffled"]), "window")
+    if window != "range":
+        ticks = np.arange(start, start + n, dtype=np.uint64)
+        if window == "shuffled":
+            ticks = ticks[np.random.default_rng(n).permutation(n)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "_TILE", tile)
+        scratch = rng.hash_scratch(n_keys, n + data.draw(st.integers(0, 2 * tile), "longer"))
+        scratch[...] = 0x5A5A5A5A5A5A5A5A
+        out = np.full((n_keys, 8 * -(-n // 64)), 0xFF, dtype=np.uint8)
+        planes = sign_planes(keys, ticks, out, scratch)
+    assert planes is out
+    assert_scalar_planes(planes, keys, ticks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_a_short_last_chunk_is_hashed_in_the_scratch_of_long_ones(data):
+    # The driver sizes each worker's scratch for a full chunk. A full chunk
+    # of more than half a tile is hashed one stream per tile, while a last
+    # chunk of at most half a tile wants tiles of several streams, which
+    # that scratch does not hold.
+    tile = data.draw(st.sampled_from([1 << 8, 1 << 9]))
+    system = ReferenceSystem(data.draw(st.integers(1, 8)), data.draw(st.integers(0, 2**64 - 1)))
+    n_keys = 2 * system.n_bits
+    step = data.draw(st.sampled_from([tile // 2 + 64, tile, 2 * tile]))
+    n = data.draw(st.integers(1, 3)) * step + data.draw(st.integers(1, tile // 2))
+    start = data.draw(st.sampled_from([0, 2**33, 2**64 - n]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "_TILE", tile)
+        patch.setattr(reference, "_CHUNK_SAMPLES", step * n_keys)
+        patch.setattr(reference, "_WORKERS", 1)
+        planes = window_planes(system, range(start, start + n))
+    assert_scalar_planes(planes.reshape(n_keys, -1), system.keys, range(start, start + n))
 
 
 # Golden values frozen after the generator was chosen; any change to the
