@@ -28,6 +28,9 @@ from .verify import DEFAULT_TICKS, canonical_suite, random_equivalence_trials
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
+# Ticks of a trace evaluated at a time: 8 MiB of int64 signal, and with
+# N >= 8 bits at least 2^24 samples, so the window is hashed on threads.
+_TRACE_WINDOW = 1 << 20
 # Ticks of a trace (CSV rows or JSON values) formatted and written at a time.
 _TRACE_ROWS = 1 << 16
 
@@ -98,13 +101,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         circ = _read_circuit(args.circuit, args.n)
         program = compile_circuit(circ)
         circuit_lines = circ.to_text().splitlines()
-    signal = superposition_sample(system, program, y, range(args.ticks))
+
+    def pieces():
+        """(first tick, values) of the trace, _TRACE_ROWS ticks at a time,
+        from one window of the signal at a time."""
+        for start in range(0, args.ticks, _TRACE_WINDOW):
+            window = range(start, min(start + _TRACE_WINDOW, args.ticks))
+            signal = superposition_sample(system, program, y, window)
+            for lo in range(0, signal.size, _TRACE_ROWS):
+                yield start + lo, signal[lo : lo + _TRACE_ROWS].tolist()
+            del signal  # before the next window is evaluated
+
     with Path(args.out).open("w") as out:
         if args.format == "csv":
             out.write("tick,signal\n")
-            for lo in range(0, signal.size, _TRACE_ROWS):
-                rows = enumerate(signal[lo : lo + _TRACE_ROWS].tolist(), lo)
-                out.write("".join(f"{tick},{value}\n" for tick, value in rows))
+            for first, values in pieces():
+                out.write("".join(f"{tick},{value}\n" for tick, value in enumerate(values, first)))
         else:
             header = {
                 "n_bits": args.n,
@@ -118,8 +130,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             # (the last key) written chunk by chunk.
             out.write(json.dumps(header, indent=2).removesuffix("null\n}"))
             sep = "[\n    "
-            for lo in range(0, signal.size, _TRACE_ROWS):
-                out.write(sep + ",\n    ".join(map(str, signal[lo : lo + _TRACE_ROWS].tolist())))
+            for _, values in pieces():
+                out.write(sep + ",\n    ".join(map(str, values)))
                 sep = ",\n    "
             out.write("\n  ]\n}\n")
     return 0

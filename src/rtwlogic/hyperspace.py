@@ -298,10 +298,11 @@ def superposition_signal(bank: WireBank, y: Superposition, out: np.ndarray | Non
     A pattern is 0 where a free bit's two wires differ and +-2^k elsewhere.
     An explicit sum adds, per group of strings sharing their bits above the
     low K, the group's transformed coefficient table gathered at the low
-    NOT-operator bits (`_SpectralSplit`); at K = 0 each term adds its
-    product signal times its coefficient. Every transform partial sum is
-    bounded by sum |c| <= 2^62, so int64 is exact. The signal is written
-    into `out` when given.
+    NOT-operator bits and negated where the group's sign plane is -1
+    (`_SpectralSplit`); at K = 0 each term adds its product signal times
+    its coefficient. Every transform partial sum is bounded by
+    sum |c| <= 2^62, so int64 is exact. The signal is written into `out`
+    when given.
     """
     _check_width(y, bank.n_bits)
     if out is None:
@@ -322,10 +323,16 @@ def superposition_signal(bank: WireBank, y: Superposition, out: np.ndarray | Non
 def _explicit_signal(
     bank: WireBank, y: Superposition, low_bits: int | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """`superposition_signal` of an explicit sum; `low_bits` pins K."""
+    """`superposition_signal` of an explicit sum; `low_bits` pins K.
+
+    Per group with K > 0, C^_g is gathered at d_low(t) into one int64 row,
+    reused by every group, negated in place where the group's plane bit is
+    1 (sign -1) and added to the signal.
+    """
     split = _SpectralSplit(bank, y, low_bits, readout=False)
     signal = np.empty(bank.n_ticks, dtype=np.int64) if out is None else out
     signal.fill(0)
+    values = None if split.index is None else np.empty(bank.n_ticks, dtype=np.int64)
     for first, planes in split.batches():
         if split.index is None:
             # One term per group: its product signal times its coefficient.
@@ -336,10 +343,10 @@ def _explicit_signal(
             lows, coeffs = split.group(group)
             spectrum = np.zeros(1 << split.low_bits, dtype=np.int64)
             spectrum[lows] = coeffs
-            spectrum = _walsh_hadamard(spectrum)
-            # Entry 2x + b is C^_g[x] times the sign of plane bit b.
-            table = np.stack((spectrum, -spectrum), axis=-1).ravel()
-            signal += table[split.index | bank.bits(plane)]
+            # mode="clip" (every index is in range) writes into `values` unbuffered.
+            np.take(_walsh_hadamard(spectrum), split.index, out=values, mode="clip")
+            np.negative(values, out=values, where=bank.bits(plane).view(bool))
+            signal += values
     return signal
 
 
@@ -349,10 +356,12 @@ def _correlation(bank: WireBank, y: Superposition, probe_plane: np.ndarray, low_
 
     A pattern is read from popcounts alone. An explicit sum is read group by
     group (see `_SpectralSplit`): the ticks are counted per low index x, +1
-    or -1 by the sign of the group's plane times the probe; the transform of
-    these counts, read at a term's low bits, is the term's exact correlation
-    with the probe, T - 2 * popcount(P_s ^ probe). With no low bits that
-    popcount is taken directly.
+    or -1 by the sign of the group's plane times the probe, as one bincount
+    over `b << K | x` with b that plane's bit; the transform of these
+    counts, read at a term's low bits, is the term's exact correlation with
+    the probe, T - 2 * popcount(P_s ^ probe). Every partial sum of that
+    transform is bounded by T, so it runs in int32 when T < 2^31. With no
+    low bits that popcount is taken directly.
     """
     _check_width(y, bank.n_bits)
     ticks = bank.n_ticks
@@ -364,6 +373,8 @@ def _correlation(bank: WireBank, y: Superposition, probe_plane: np.ndarray, low_
         nonzero_differ = int(bank.count(differ)) - int(bank.count(zero & differ))
         return (1 << y.free_bit_count) * (nonzero - 2 * nonzero_differ)
     split = _SpectralSplit(bank, y, low_bits, readout=True)
+    size = 1 << split.low_bits
+    counts_dtype = np.int32 if ticks < 1 << 31 else np.int64
     # Python ints: every product and sum is exact whatever the coefficients.
     total = 0
     for first, planes in split.batches():
@@ -374,8 +385,11 @@ def _correlation(bank: WireBank, y: Superposition, probe_plane: np.ndarray, low_
             continue
         for group, plane in enumerate(planes, first):
             lows, coeffs = split.group(group)
-            counts = np.bincount(split.index | bank.bits(plane), minlength=2 << split.low_bits)
-            correlations = _walsh_hadamard(counts[0::2] - counts[1::2])[lows]
+            index = np.left_shift(bank.bits(plane), split.low_bits, dtype=np.intp)
+            index |= split.index
+            counts = np.bincount(index, minlength=2 * size)
+            signed = np.subtract(counts[:size], counts[size:], dtype=counts_dtype, casting="same_kind")
+            correlations = _walsh_hadamard(signed)[lows]
             total += sum(map(operator.mul, coeffs, correlations.tolist()))
     return total
 
@@ -390,10 +404,12 @@ class _SpectralSplit:
     coefficient table and B * chi_g(d_high) is the sign plane of g << K.
     K = N is one transform; K = 0 makes every term a group.
 
-    K is `_low_bit_count` unless given (tests pin it). `index` is
-    2 * d_low(t) per tick, None when K = 0. Groups are numbered in string
-    order, and `batches` builds their planes, `string_planes(g << K)`, in
-    blocks of at most _BLOCK_TICKS, so the working set is O(T + 2^K) words.
+    K is `_low_bit_count` unless given (tests pin it). `index` is d_low(t)
+    per tick as uint16 (`WireBank.operator_index`), None when K = 0; a
+    group's term is C^_g[index] negated where its sign plane's bit is 1.
+    Groups are numbered in string order, and `batches` builds their planes,
+    `string_planes(g << K)`, in blocks of at most _BLOCK_TICKS, so the
+    working set is O(T + 2^K) words.
     """
 
     def __init__(self, bank: WireBank, y: Superposition, low_bits: int | None, readout: bool):
@@ -401,10 +417,7 @@ class _SpectralSplit:
         if low_bits is None:
             low_bits = _low_bit_count(strings, bank.n_bits, bank.n_ticks, readout)
         self.low_bits = low_bits
-        self.index = None
-        if low_bits:
-            self.index = bank.operator_index(low_bits)
-            self.index <<= 1
+        self.index = bank.operator_index(low_bits) if low_bits else None
         self.coeffs = [c for _, c in y.terms]
         highs = strings >> low_bits
         self.lows = strings - (highs << low_bits)
@@ -454,13 +467,15 @@ def _low_bit_count(strings: np.ndarray, n_bits: int, n_ticks: int, readout: bool
 
 
 def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a 2^k-entry int64 array,
-    X[u] = sum_v x[v] * (-1)^popcount(u & v); `x` is overwritten.
+    """Unnormalized Walsh-Hadamard transform of a 2^k-entry signed integer
+    array, X[u] = sum_v x[v] * (-1)^popcount(u & v), in x's dtype; `x` is
+    overwritten.
 
     Each of the k constant-geometry stages maps the halves (a, b) to the
     interleaved pairs (a + b, a - b) (Fino and Algazi, 1976). Every entry
-    after every stage is a signed sum of a subset of the inputs, so int64 is
-    exact while sum |x| stays below 2^63.
+    after every stage is a signed sum of a subset of the inputs, so the
+    result is exact while sum |x| stays within the dtype: below 2^63 in
+    int64, below 2^31 in int32.
     """
     half = x.size // 2
     out = np.empty_like(x)

@@ -175,12 +175,13 @@ class WireBank:
         return self.planes[:, 0] ^ self.planes[:, 1]
 
     def operator_index(self, k: int) -> np.ndarray:
-        """Per tick, the integer whose bit i is the sign bit of N_i, i < k
-        (at most 16), built one plane at a time."""
+        """Per tick, the uint16 whose bit i is the sign bit of N_i, i < k,
+        built one plane at a time; k is in [0, min(n_bits, 16)]."""
+        _check_int(k, "operator index width", 0, min(self.n_bits, 16) + 1)
         out = np.zeros(self.n_ticks, dtype=np.uint16)
         for bit, plane in enumerate(self.operators()[:k]):
             out |= np.left_shift(self.bits(plane), bit, dtype=np.uint16)
-        return out.astype(np.intp)
+        return out
 
     def pattern_planes(self, allowed) -> tuple[np.ndarray, np.ndarray]:
         """Zero and sign planes of a pattern with per-bit allowed values.

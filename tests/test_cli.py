@@ -103,12 +103,19 @@ def test_simulate_singleton_stays_binary(tmp_path, capsys):
 @pytest.mark.parametrize("rows", [1, 7, 64, 1000])
 def test_simulate_writes_the_same_csv_in_any_row_chunks(rows, tmp_path, capsys, monkeypatch):
     argv = ["simulate", "--n", "5", "--seed", "3", "--ticks", "200", "--superposition", "*1*0*"]
-    out_path = tmp_path / "trace.csv"
-    monkeypatch.setattr(cli, "_TRACE_ROWS", rows)
-    assert run(argv + ["--out", str(out_path)], capsys)[0] == 0
     signal = superposition_sample(ReferenceSystem(5, 3), None, parse_superposition("*1*0*"), tick_range(200))
-    want = "\n".join(["tick,signal", *(f"{t},{v}" for t, v in enumerate(signal.tolist()))]) + "\n"
-    assert out_path.read_bytes() == want.encode()
+    want_csv = "\n".join(["tick,signal", *(f"{t},{v}" for t, v in enumerate(signal.tolist()))]) + "\n"
+    payload = {"n_bits": 5, "seed": 3, "ticks": 200, "superposition": "*1*0*", "circuit": None,
+               "signals": signal.tolist()}
+    want_json = json.dumps(payload, indent=2) + "\n"
+    monkeypatch.setattr(cli, "_TRACE_ROWS", rows)
+    # Windows of 50 ticks end inside a piece of rows unless rows divides 50.
+    for window in (50, 1 << 20):
+        monkeypatch.setattr(cli, "_TRACE_WINDOW", window)
+        for fmt, want in (("csv", want_csv), ("json", want_json)):
+            out_path = tmp_path / f"trace.{fmt}"
+            assert run(argv + ["--format", fmt, "--out", str(out_path)], capsys)[0] == 0
+            assert out_path.read_bytes() == want.encode(), (window, fmt)
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):

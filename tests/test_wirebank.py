@@ -189,6 +189,14 @@ def test_walsh_hadamard_is_exact_at_the_budget():
     assert got == walsh_hadamard_by_definition(x) and got[0b110] == 1 << 62
 
 
+def test_walsh_hadamard_is_exact_in_int32_up_to_its_bound():
+    # sum |x| = 2^31 - 1, the largest int32, and entry 0b110 reaches it.
+    x = [1 << 30, 0, 0, -(1 << 29), 0, -(1 << 29) + 1, 0, 0]
+    got = hyperspace._walsh_hadamard(np.array(x, dtype=np.int32))
+    want = hyperspace._walsh_hadamard(np.array(x, dtype=np.int64))
+    assert got.dtype == np.int32 and got.tolist() == want.tolist() and got[0b110] == (1 << 31) - 1
+
+
 @pytest.mark.parametrize("n_bits", [1, 5, 16, 32])
 def test_operator_index_reads_the_operator_sign_bits(n_bits):
     system, window = ReferenceSystem(n_bits, 3), np.arange(5, 205, dtype=np.uint64)
@@ -196,8 +204,12 @@ def test_operator_index_reads_the_operator_sign_bits(n_bits):
     bank = WireBank.draw(system, window)
     rng = np.random.default_rng(n_bits)
     top = min(n_bits, hyperspace._MAX_LOW_BITS)
+    for k in (-1, 17, n_bits + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            bank.operator_index(k)
     for k in sorted({0, top // 2, top}):
         index = bank.operator_index(k)
+        assert index.dtype == np.uint16
         # Bit i of the index is 1 where N_i = w[i,0] * w[i,1] is -1.
         want = sum(((wires[i, 0] != wires[i, 1]).astype(int) << i for i in range(k)), np.zeros(window.size, int))
         assert index.tolist() == want.tolist()
@@ -235,6 +247,50 @@ def test_explicit_sums_on_an_empty_window():
     for k in (0, 10, 16):
         assert hyperspace._explicit_signal(bank, y, k).tolist() == []
         assert hyperspace._correlation(bank, y, bank.string_planes(5), k) == 0
+
+
+def test_readout_over_one_full_chunk_equals_the_int8_reference():
+    # At N = 1 one chunk is 2^21 ticks, so every bincount bin and every
+    # partial sum of the int32 transform can reach 2^21.
+    system = ReferenceSystem(1, 21)
+    ticks = reference._CHUNK_SAMPLES // 2
+    window = tick_range(ticks)
+    y = Superposition.explicit(1, {0: 3, 1: -2})
+    wires = reference_wires(system, None, window)
+    signal = reference_signal(system, None, y, window)
+    bank = WireBank.draw(system, range(ticks))
+    for probe in (0, 1):
+        want = int(np.dot(signal, reference_string(wires, probe)))
+        for k in (0, 1):
+            assert hyperspace._correlation(bank, y, bank.string_planes(probe), k) == want
+        assert membership_estimate(system, None, y, probe, ticks).entries[0].estimate == want / ticks
+
+
+def test_explicit_sum_memory_at_sixteen_low_bits():
+    # 1024 of the 2^16 strings of 16 bits take K = 16: one group whose
+    # 2^16-entry spectrum and transform buffer (1 MiB), the int64 signal and
+    # gathered row (1 MiB, T = 2^16), the drawn planes and the uint16 index
+    # make up about 2.4 MiB. A doubled +-C^ table or an intp copy of the
+    # index kept for all groups would each cross the bound.
+    rng = np.random.default_rng(16)
+    strings = rng.choice(1 << 16, size=1024, replace=False)
+    y = Superposition.explicit(16, {int(s): int(rng.choice([-3, -1, 1, 2])) for s in strings})
+    for readout in (False, True):
+        assert hyperspace._low_bit_count(np.sort(strings), 16, 1 << 16, readout) == 16
+    system, probe = ReferenceSystem(16, 7), int(strings[0])
+    calls = {
+        "signal": lambda: superposition_sample(system, None, y, range(1 << 16)),
+        "readout": lambda: membership_estimate(system, None, y, probe, 1 << 16),
+    }
+    for name, call in calls.items():
+        call()  # the stream keys are built and cached on the first call
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * 2**20, (name, peak)
 
 
 def budget_superpositions() -> list[Superposition]:
