@@ -5,11 +5,21 @@ The acceptance notion is tick-wise exact integer equality: the transformed
 system's signal must match, at every tick, the untransformed signal of the
 oracle-mapped superposition. Nothing statistical is involved; the seed only
 picks which +-1 pattern witnesses the identity.
+
+Checks that share a seed share one draw of the wires: the canonical suite
+runs its six circuits on one bank, and the random trials of a seed run in
+one pass over a system as wide as the widest trial, a trial of n bits on
+the first n bits' wires. Those are the wires of an n-bit system at that
+seed, so every result is the one its check gives alone. A chunk is first
+compared on packed sign planes, pattern against pattern or term against
+term; only a chunk where that does not prove the signals equal is
+evaluated as integers, so a first mismatch is always an integer one.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +44,11 @@ DEFAULT_TICKS = 1024
 TRIAL_MAX_GATES = 12
 TRIAL_MAX_BITS = 8
 TRIAL_MAX_TERMS = 32
+
+# Explicit sums of at most this many terms are first compared term by term
+# (`_equal_on_planes`): the packed planes of 64 terms take as many bytes as
+# one int64 signal of the same ticks.
+_TERMWISE_MAX_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -74,8 +89,7 @@ def signal_equivalence_check(
 ) -> EquivalenceResult:
     """Compiled-program signal of `y` vs untransformed signal of the
     oracle-mapped superposition, exactly, at every tick."""
-    amap = circuit_to_affine(circ)
-    return _bank_equivalence(sys, compile_to_insertions(amap), y, oracle_apply(amap, y), ticks)
+    return _bank_equivalence(sys, [_oracle_case(circ, y)], ticks)[0]
 
 
 def universe_invariance_check(
@@ -90,33 +104,85 @@ def universe_invariance_check(
     if not circ.is_pure_cnot:
         raise ValueError("universe invariance is stated for CNOT-only cascades")
     universe = Superposition.universe(sys.n_bits)
-    return _bank_equivalence(sys, compile_to_insertions(circuit_to_affine(circ)), universe, universe, ticks)
+    case = (compile_to_insertions(circuit_to_affine(circ)), universe, universe)
+    return _bank_equivalence(sys, [case], ticks)[0]
 
 
-def _bank_equivalence(
-    sys: ReferenceSystem, prog: InsertionProgram, y: Superposition, expected_y: Superposition, ticks: int
-) -> EquivalenceResult:
-    """Signal of `y` on the program's wires vs signal of `expected_y` on the
-    raw wires, both from one draw of the raw bank, chunk by chunk; the
-    first mismatch in tick order is kept."""
-    patterns = y.is_pattern and expected_y.is_pattern and y.free_bit_count == expected_y.free_bit_count
+def _oracle_case(circ: GateCircuit, y: Superposition) -> tuple[InsertionProgram, Superposition, Superposition]:
+    """The circuit's compiled program, `y`, and the oracle's image of `y`."""
+    amap = circuit_to_affine(circ)
+    return compile_to_insertions(amap), y, oracle_apply(amap, y)
 
-    def consume(lo: int, raw: WireBank, bank: WireBank) -> tuple[int, int, int] | None:
-        if patterns:
-            # Both signals are 0 or +-2^k: they differ where exactly one is
-            # zero, or where neither is and the signs differ. Only a chunk
-            # with such a tick is evaluated as integers, below.
-            zero_a, sign_a = bank.pattern_planes(y.allowed)
-            zero_b, sign_b = raw.pattern_planes(expected_y.allowed)
-            differ = (zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b))
-            if not raw.count(differ):
-                return None
-        transformed, expected = superposition_signal(bank, y), superposition_signal(raw, expected_y)
-        mismatch = compare_signals(transformed, expected).first_mismatch
-        return mismatch and (lo + mismatch[0], *mismatch[1:])
 
-    mismatches = map_window(sys, count_window(ticks), consume, prog)
-    return EquivalenceResult(ticks, next(filter(None, mismatches), None))
+def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[EquivalenceResult]:
+    """Per case `(prog, y, expected_y)`: the signal of `y` on the program's
+    wires vs the signal of `expected_y` on the raw wires, every case from
+    one draw of the system's raw bank, chunk by chunk; the first mismatch
+    in tick order is kept per case.
+
+    A case of n bits reads the first n bits' wires, which are the wires of
+    `ReferenceSystem(n, sys.seed)`: a stream key depends only on the seed
+    and the channel. A single case must be as wide as the system, and runs
+    on `map_window`'s own program path and buffers.
+    """
+    window = count_window(ticks)
+    single = len(cases) == 1
+
+    def consume(lo: int, raw: WireBank, bank: WireBank) -> list:
+        found = []
+        for prog, y, expected_y in cases:
+            case_raw, case_bank = raw, bank
+            if not single:
+                case_raw = WireBank(raw.planes[: prog.n_bits], raw.n_ticks)
+                case_bank = case_raw.apply(prog)
+            found.append(_first_mismatch(lo, case_raw, case_bank, y, expected_y))
+        return found
+
+    per_chunk = map_window(sys, window, consume, cases[0][0] if single else None)
+    return [EquivalenceResult(ticks, next(filter(None, column), None)) for column in zip(*per_chunk)]
+
+
+def _first_mismatch(
+    lo: int, raw: WireBank, bank: WireBank, y: Superposition, expected_y: Superposition
+) -> tuple[int, int, int] | None:
+    """First (tick, got, expected) of one chunk where the signal of `y` on
+    `bank` differs from that of `expected_y` on `raw`, or None; `lo` is the
+    chunk's first tick. Only a chunk whose planes do not prove the signals
+    equal is evaluated as integers."""
+    if _equal_on_planes(raw, bank, y, expected_y):
+        return None
+    transformed, expected = superposition_signal(bank, y), superposition_signal(raw, expected_y)
+    mismatch = compare_signals(transformed, expected).first_mismatch
+    return mismatch and (lo + mismatch[0], *mismatch[1:])
+
+
+def _equal_on_planes(raw: WireBank, bank: WireBank, y: Superposition, expected_y: Superposition) -> bool:
+    """Whether the sign planes prove the signal of `y` on `bank` equal to
+    that of `expected_y` on `raw` at every tick of the chunk; False where
+    they cannot tell.
+
+    Two patterns with k free bits each have signals of 0 or +-2^k: they
+    differ where exactly one is zero, or where neither is and the signs
+    differ. Two explicit sums of as many terms, up to _TERMWISE_MAX_TERMS,
+    are equal where their terms pair off, each pair with one coefficient
+    and one sign plane. A correct program makes the effective product
+    string of every s the raw product string of its image, so a compiled
+    circuit and its oracle image pair off term by term.
+    """
+    if y.is_pattern and expected_y.is_pattern:
+        if y.free_bit_count != expected_y.free_bit_count:
+            return False
+        zero_a, sign_a = bank.pattern_planes(y.allowed)
+        zero_b, sign_b = raw.pattern_planes(expected_y.allowed)
+        return not raw.count((zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b)))
+    if y.is_pattern or expected_y.is_pattern or not y.term_count == expected_y.term_count <= _TERMWISE_MAX_TERMS:
+        return False
+
+    def terms(wires: WireBank, sup: Superposition) -> Counter:
+        planes = wires.string_planes([s for s, _ in sup.terms])
+        return Counter(zip(map(bytes, planes), (c for _, c in sup.terms)))
+
+    return terms(bank, y) == terms(raw, expected_y)
 
 
 def random_explicit(rng: random.Random, n_bits: int, max_terms: int) -> Superposition:
@@ -181,20 +247,32 @@ def random_equivalence_trials(
     draw_seed: int = 0,
 ) -> TrialsReport:
     """Check `n_trials` random (circuit, superposition) pairs under each
-    reference seed."""
+    reference seed.
+
+    Every input is drawn first, and each trial is compiled, oracle-mapped
+    and rendered once. Then all trials of a seed are checked in one pass
+    over the wires of a system as wide as the widest trial (see
+    `_bank_equivalence`). A trial of n bits reads exactly the wires of
+    `ReferenceSystem(n, seed)`, so each record is the result of
+    `signal_equivalence_check` on that system and replays alone from its
+    seed and texts.
+    """
     _check_int(n_trials, "n_trials", 1)
     _check_int(len(seeds), "the number of seeds", 1)
+    count_window(ticks)  # a bad window is refused before anything is drawn
     rng = random.Random(draw_seed)
-    report = TrialsReport()
+    trials = []
     for _ in range(n_trials):
         n_bits = rng.randint(2, TRIAL_MAX_BITS)
         circ = random_cascade(rng, n_bits, rng.randint(1, TRIAL_MAX_GATES), not_rate=0.2)
-        y = random_explicit(rng, n_bits, TRIAL_MAX_TERMS)
-        for seed in seeds:
-            system = ReferenceSystem(n_bits, seed)
-            result = signal_equivalence_check(system, circ, y, ticks)
-            report.trials.append(TrialRecord(circ.to_text(), y.to_text(), seed, result))
-    return report
+        trials.append((circ, random_explicit(rng, n_bits, TRIAL_MAX_TERMS)))
+    cases = [_oracle_case(circ, y) for circ, y in trials]
+    width = max(y.n_bits for _, y in trials)
+    results = [_bank_equivalence(ReferenceSystem(width, seed), cases, ticks) for seed in seeds]
+    texts = [(circ.to_text(), y.to_text()) for circ, y in trials]
+    return TrialsReport(
+        [TrialRecord(*texts[i], seed, per_seed[i]) for i in range(n_trials) for seed, per_seed in zip(seeds, results)]
+    )
 
 
 # Canonical circuits: name -> (circuit text, expected insertions, expected M).
@@ -287,13 +365,13 @@ class SuiteEntry:
 
 def canonical_suite(seed: int = DEFAULT_SEED, ticks: int = DEFAULT_TICKS) -> Report:
     """Compile every canonical circuit, check the exact insertion sets and
-    hardware counts, and verify signal equivalence on all 2^4 strings."""
-    report = Report()
-    system = ReferenceSystem(SUITE_BITS, seed)
+    hardware counts, and verify signal equivalence on all 2^4 strings, every
+    circuit on one draw of the wires."""
     everything = Superposition.universe(SUITE_BITS).expand()
-    for name, (text, expected, expected_m) in CANONICAL_CIRCUITS.items():
-        circ = parse_circuit(text, n_bits=SUITE_BITS)
-        program = compile_to_insertions(circuit_to_affine(circ))
-        equivalence = signal_equivalence_check(system, circ, everything, ticks)
-        report.entries.append(SuiteEntry(name, program, expected, expected_m, equivalence))
+    circuits = [parse_circuit(text, n_bits=SUITE_BITS) for text, _, _ in CANONICAL_CIRCUITS.values()]
+    cases = [_oracle_case(circ, everything) for circ in circuits]
+    results = _bank_equivalence(ReferenceSystem(SUITE_BITS, seed), cases, ticks)
+    report = Report()
+    for (name, (_, expected, expected_m)), case, equivalence in zip(CANONICAL_CIRCUITS.items(), cases, results):
+        report.entries.append(SuiteEntry(name, case[0], expected, expected_m, equivalence))
     return report

@@ -2,10 +2,12 @@
 oracle, universe invariance, and the canonical circuit suite."""
 
 import random
+import threading
 
 import numpy as np
 import pytest
 
+from rtwlogic import reference, verify
 from rtwlogic.compiler import (
     GateCircuit,
     InsertionProgram,
@@ -13,6 +15,7 @@ from rtwlogic.compiler import (
     compile_circuit,
     interacting_chain,
     not_gate,
+    parse_circuit,
     random_cascade,
 )
 from rtwlogic.hyperspace import Superposition, parse_superposition, superposition_signal
@@ -124,10 +127,83 @@ def test_packed_pattern_compare_matches_the_int64_compare():
         raw = WireBank.draw(system, tick_range(ticks))
         transformed = superposition_signal(raw.apply(prog), y)
         want = compare_signals(transformed, superposition_signal(raw, expected_y))
-        got = _bank_equivalence(system, prog, y, expected_y, ticks)
+        (got,) = _bank_equivalence(system, [(prog, y, expected_y)], ticks)
         assert got.to_dict() == want.to_dict(), case
         outcomes.append(got.passed)
     assert 100 <= outcomes.count(False) <= 300
+
+
+def random_sum(rng: random.Random, n_bits: int, terms: int) -> Superposition:
+    strings = rng.sample(range(1 << n_bits), min(terms, 1 << n_bits))
+    return Superposition.explicit(n_bits, {s: rng.choice((-3, -1, 1, 2)) for s in strings})
+
+
+def test_termwise_compare_matches_the_int64_compare():
+    # Explicit pairs of equal term counts, up to 64 terms, are first compared
+    # term by term on packed planes; the result must be the one the int64
+    # signals give, first mismatch included. Oracle images pass; a changed
+    # coefficient, a changed program or a changed term count mostly fail.
+    rng = random.Random(2025)
+    outcomes = []
+    for case in range(300):
+        n_bits = rng.randint(1, 7)
+        circuit = random_cascade(rng, n_bits, rng.randint(1, 8), not_rate=0.3)
+        y = random_sum(rng, n_bits, rng.choice((1, 2, 5, 20, 64, 65, 100)))
+        prog, _, expected_y = verify._oracle_case(circuit, y)
+        kind = case % 4
+        if kind == 1:
+            s, c = rng.choice(expected_y.terms)
+            expected_y = expected_y + Superposition.explicit(n_bits, {s: -c + rng.choice((-1, 1))})
+        elif kind == 2:
+            triples = [(rng.randrange(n_bits), rng.randint(0, 1), rng.randrange(n_bits)) for _ in range(3)]
+            prog = InsertionProgram.from_pairs(n_bits, triples)
+        elif kind == 3:
+            expected_y = random_sum(rng, n_bits, rng.randint(1, 1 << n_bits))
+        ticks = rng.choice([1, 63, 65, 127, 200, 1000, 4097])
+        system = ReferenceSystem(n_bits, rng.randrange(1 << 64))
+        raw = WireBank.draw(system, tick_range(ticks))
+        transformed = superposition_signal(raw.apply(prog), y)
+        want = compare_signals(transformed, superposition_signal(raw, expected_y))
+        (got,) = _bank_equivalence(system, [(prog, y, expected_y)], ticks)
+        assert got.to_dict() == want.to_dict(), case
+        outcomes.append(got.passed)
+    assert all(outcomes[::4]) and 100 <= outcomes.count(False) <= 225
+
+
+def test_cases_checked_together_match_each_checked_alone(monkeypatch):
+    # Patterns (packed compare) and explicit sums of 2-7 bits on one draw of
+    # a 7-bit system, in chunks of 64 ticks: each case's result equals a
+    # one-case check on a system of its own width, first mismatch included.
+    # Half the cases are true identities, half random pairs that mostly fail.
+    monkeypatch.setattr(reference, "_CHUNK_SAMPLES", 1 << 10)
+    rng = random.Random(7)
+    cases = []
+    for case in range(60):
+        n_bits = rng.randint(2, 7)
+        if case % 4 == 0:
+            y = Superposition.universe(n_bits)
+            cases.append((compile_circuit(random_cascade(rng, n_bits, 4, not_rate=0.0)), y, y))
+        elif case % 4 == 1:
+            y = Superposition.explicit(n_bits, {rng.randrange(1 << n_bits): rng.choice((-2, 1, 3)) for _ in range(4)})
+            cases.append(verify._oracle_case(random_cascade(rng, n_bits, 4, not_rate=0.3), y))
+        else:
+            free = rng.randint(0, n_bits)
+            triples = [(rng.randrange(n_bits), rng.randint(0, 1), rng.randrange(n_bits)) for _ in range(3)]
+            prog = InsertionProgram.from_pairs(n_bits, triples[: rng.randint(0, 3)])
+            cases.append((prog, random_pattern(rng, n_bits, free), random_pattern(rng, n_bits, free)))
+    for seed in (5, 2**64 - 1):
+        together = _bank_equivalence(ReferenceSystem(7, seed), cases, 1000)
+        alone = [_bank_equivalence(ReferenceSystem(case[0].n_bits, seed), [case], 1000)[0] for case in cases]
+        assert [r.to_dict() for r in together] == [r.to_dict() for r in alone]
+        assert all(r.passed for r in together[::4] + together[1::4])
+        assert sum(not r.passed for r in together) >= 15
+
+
+def test_a_single_case_must_be_as_wide_as_the_system():
+    prog = InsertionProgram.from_pairs(3, [(0, 1, 2)])
+    y = Superposition.universe(3)
+    with pytest.raises(ValueError, match="does not match"):
+        _bank_equivalence(ReferenceSystem(4, 1), [(prog, y, y)], 64)
 
 
 def test_universe_invariance_for_empty_circuit():
@@ -154,6 +230,69 @@ def test_random_trials_all_pass_and_record_inputs():
 def test_random_trials_refuse_to_pass_on_no_trials(n_trials, seeds):
     with pytest.raises(ValueError):
         random_equivalence_trials(n_trials, seeds=seeds, ticks=64)
+
+
+def _must_not_draw(*args, **kwargs):
+    raise AssertionError("drew before the tick count was checked")
+
+
+@pytest.mark.parametrize("ticks", [0, -1, 2.5, True])
+def test_random_trials_refuse_a_bad_window_before_drawing(ticks, monkeypatch):
+    monkeypatch.setattr(verify, "random_cascade", _must_not_draw)
+    monkeypatch.setattr(WireBank, "draw", _must_not_draw)
+    with pytest.raises(ValueError, match="tick count"):
+        random_equivalence_trials(3, seeds=(42,), ticks=ticks)
+
+
+def _drop_one_insertion(monkeypatch) -> None:
+    """Compile every program with its first insertion left out."""
+    compile_to_insertions = verify.compile_to_insertions
+
+    def dropped(amap):
+        prog = compile_to_insertions(amap)
+        return InsertionProgram(prog.n_bits, prog.sorted_insertions()[1:])
+
+    monkeypatch.setattr(verify, "compile_to_insertions", dropped)
+
+
+@pytest.mark.parametrize("config", ["one chunk", "chunks", "threads"])
+@pytest.mark.parametrize("dropped", [False, True])
+def test_trials_on_a_shared_draw_match_each_trial_alone(config, dropped, monkeypatch):
+    # All trials of a seed are checked on one draw as wide as the widest
+    # trial; each record must be what its own system of its own width gives,
+    # also when every program misses an insertion and most trials fail.
+    if dropped:
+        _drop_one_insertion(monkeypatch)
+    ticks = 1000
+    with monkeypatch.context() as patch:
+        runs = []
+        if config in ("chunks", "threads"):
+            # the 16 wires of the widest trial: 64 ticks per chunk
+            patch.setattr(reference, "_CHUNK_SAMPLES", 1 << 10)
+        if config == "threads":
+            patch.setattr(reference, "_PARALLEL_MIN", 1 << 12)
+            patch.setattr(reference, "_WORKERS", 2)
+            run_chunks = reference._run_chunks
+
+            def record(*args) -> None:
+                runs.append(threading.current_thread().name)
+                run_chunks(*args)
+
+            patch.setattr(reference, "_run_chunks", record)
+        report = random_equivalence_trials(12, seeds=(3, 99), ticks=ticks, draw_seed=5)
+    if config == "threads":
+        assert len(runs) == 4 and all(name.startswith("rtwlogic-chunk") for name in runs)
+    assert len(report.trials) == 24 and [t.seed for t in report.trials] == [3, 99] * 12
+    widths = set()
+    for trial in report.trials:
+        y = parse_superposition(trial.superposition_text)
+        widths.add(y.n_bits)
+        circuit = parse_circuit(trial.circuit_text, n_bits=y.n_bits)
+        alone = signal_equivalence_check(ReferenceSystem(y.n_bits, trial.seed), circuit, y, ticks)
+        assert trial.result.to_dict() == alone.to_dict()
+    assert min(widths) <= 3 and max(widths) == 8
+    failures = len(report.failures())
+    assert failures >= 20 if dropped else failures == 0
 
 
 def test_canonical_suite_passes_and_matches_expectations():
@@ -189,3 +328,22 @@ def test_suite_report_serializes():
 def test_result_without_mismatch_serializes_minimally():
     res = EquivalenceResult(10)
     assert res.passed and "first_mismatch" not in res.to_dict()
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+@pytest.mark.parametrize("ticks", [64, 256])
+@pytest.mark.parametrize("dropped", [False, True])
+def test_canonical_suite_matches_standalone_checks(seed, ticks, dropped, monkeypatch):
+    # The six circuits run on one draw of the four bits' wires; each entry
+    # must equal its own check, also when the programs are wrong.
+    if dropped:
+        _drop_one_insertion(monkeypatch)
+    everything = Superposition.universe(4).expand()
+    suite = canonical_suite(seed=seed, ticks=ticks)
+    for entry in suite.entries:
+        circuit = parse_circuit(CANONICAL_CIRCUITS[entry.name][0], n_bits=4)
+        alone = signal_equivalence_check(ReferenceSystem(4, seed), circuit, everything, ticks)
+        assert entry.equivalence.to_dict() == alone.to_dict()
+    # Every circuit maps the 16 strings onto themselves, so a damaged program
+    # that leaves their signal unchanged (as the empty one does) still passes.
+    assert any(not e.equivalence.passed for e in suite.entries) is dropped
