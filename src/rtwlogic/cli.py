@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes are a stable scripting contract: 0 on success, 1 when a
-requested check fails, 2 on usage or parse errors. Every run is
+requested check fails, 2 on usage, parse or file errors. Every run is
 reproducible from the command line alone; seeds default to a fixed
 constant, and `--random-seed` (which draws from OS entropy) prints the
 drawn seed so the run can be replayed.
@@ -222,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     except CircuitParseError as exc:
         print(f"circuit error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -101,10 +101,10 @@ class ReferenceSystem:
         window, _ = as_window(ticks)
         out = np.empty((self.n_bits, 2, len(window)), dtype=np.int8)
 
-        def consume(lo: int, raw: "WireBank", bank: "WireBank") -> None:
-            out[..., lo : lo + bank.n_ticks] = bank.signs(bank.planes)
+        def consume(lo: int, raw: "WireBank") -> None:
+            out[..., lo : lo + raw.n_ticks] = raw.signs(raw.apply(prog).planes)
 
-        map_window(self, window, consume, prog)
+        map_window(self, window, consume)
         return out
 
 
@@ -139,17 +139,16 @@ class WireBank:
     def n_bits(self) -> int:
         return self.planes.shape[0]
 
-    def apply(self, prog: InsertionProgram | None, out: np.ndarray | None = None) -> "WireBank":
-        """The effective wires under a program's NOT insertions, with every
-        operator built from this bank's planes before any host plane changes.
-        `out` (flat uint8 of the planes' size) is reused when given."""
+    def apply(self, prog: InsertionProgram | None) -> "WireBank":
+        """The effective wires under a program's NOT insertions, in new
+        planes, with every operator built from this bank's planes before any
+        host plane changes; this bank itself without a program."""
         if prog is None:
             return self
         if prog.n_bits != self.n_bits:
             raise ValueError(f"program n_bits={prog.n_bits} does not match system n_bits={self.n_bits}")
         operators = self.operators()
-        planes = np.empty_like(self.planes) if out is None else out.reshape(self.planes.shape)
-        np.copyto(planes, self.planes)
+        planes = self.planes.copy()
         for ins in prog.insertions:
             planes[ins.host_bit, ins.host_value] ^= operators[ins.target]
         return WireBank(planes, self.n_ticks)
@@ -213,27 +212,26 @@ class WireBank:
         return unpack_signs(planes, self.n_ticks)
 
 
-def map_window(system: ReferenceSystem, window, consume, prog: InsertionProgram | None = None) -> list:
-    """`consume(lo, raw, bank)` on every chunk of a window; the results in
-    window order.
+def map_window(system: ReferenceSystem, window, consume) -> list:
+    """`consume(lo, raw)` on every chunk of a window; the results in window
+    order.
 
     `window` is a `range` of consecutive ticks or a tick array (see
     `as_window`). A chunk is at most _CHUNK_SAMPLES samples of whole
-    64-tick words: `raw` holds its raw wires, `bank` their effective wires
-    under `prog` (`raw` itself without one), and `lo` is the chunk's first
-    position in the window. Every sample is a pure function of (seed, wire,
-    tick), so chunks may run in any order: a window of at least
+    64-tick words: `raw` holds its raw wires and `lo` is its first position
+    in the window. A consumer that needs a program's effective wires builds
+    them with `raw.apply(prog)`. Every sample is a pure function of (seed,
+    wire, tick), so chunks may run in any order: a window of at least
     _PARALLEL_MIN samples runs them on up to _WORKERS threads, which take
     the next chunk from one shared iterator and are all joined before this
-    returns, also when one of them raised. Each worker reuses one set of
-    buffers for all its chunks, so `consume` must not keep `raw` or `bank`.
-    A window of at most one chunk is drawn whole on the calling thread.
+    returns, also when one of them raised. Each worker draws all its chunks
+    into one set of buffers, so `consume` must not keep `raw`. A window of
+    at most one chunk is drawn whole on the calling thread.
     """
     n_keys, n = 2 * system.n_bits, len(window)
     step = max(64, _CHUNK_SAMPLES // n_keys // 64 * 64)
     if n <= step:
-        raw = WireBank.draw(system, window)
-        return [consume(0, raw, raw.apply(prog))]
+        return [consume(0, WireBank.draw(system, window))]
     workers = min(_WORKERS, -(-n // step)) if n_keys * n >= _PARALLEL_MIN else 1
     # Each worker takes the next chunk from one shared iterator (a single
     # call under the interpreter lock), so a worker on a busy core takes fewer.
@@ -243,17 +241,8 @@ def map_window(system: ReferenceSystem, window, consume, prog: InsertionProgram 
     for _ in range(workers):
         # The caller allocates every worker's buffers: what a worker thread
         # allocates goes to that thread's own malloc arena and stays resident.
-        size = n_keys * step // 8
-        scratch = hash_scratch(n_keys, step)
-        effective = None
-        if prog is not None:
-            # A chunk's hash scratch is idle once the chunk is drawn, so it
-            # also holds the effective planes where it is large enough: at
-            # the default sizes it has 1 MiB for their 512 KiB.
-            fits = scratch.nbytes >= size
-            effective = scratch.reshape(-1).view(np.uint8) if fits else np.empty(size, dtype=np.uint8)
-        buffers = (np.empty(size, dtype=np.uint8), effective, scratch)
-        jobs.append((system, window, prog, consume, starts, step, buffers, results))
+        buffers = (np.empty(n_keys * step // 8, dtype=np.uint8), hash_scratch(n_keys, step))
+        jobs.append((system, window, consume, starts, step, buffers, results))
     if workers > 1:
         # Imported here: it costs serial callers 5-10 ms of start-up.
         from concurrent.futures import ThreadPoolExecutor
@@ -267,16 +256,14 @@ def map_window(system: ReferenceSystem, window, consume, prog: InsertionProgram 
     return results
 
 
-def _run_chunks(system, window, prog, consume, starts, step: int, buffers, results: list) -> None:
-    """Draw, apply and consume the `step` ticks from each start in `starts`,
-    in one set of buffers, storing each result at its chunk's index."""
-    planes, effective, scratch = buffers
+def _run_chunks(system, window, consume, starts, step: int, buffers, results: list) -> None:
+    """Draw and consume the `step` ticks from each start in `starts`, in one
+    set of buffers, storing each result at its chunk's index."""
+    planes, scratch = buffers
     for lo in starts:
         chunk = window[lo : lo + step]
         size = 2 * system.n_bits * 8 * -(-len(chunk) // 64)
-        raw = WireBank.draw(system, chunk, planes[:size], scratch)
-        bank = raw.apply(prog, None if effective is None else effective[:size])
-        results[lo // step] = consume(lo, raw, bank)
+        results[lo // step] = consume(lo, WireBank.draw(system, chunk, planes[:size], scratch))
 
 
 def orthogonality_report(sys: ReferenceSystem, ticks: int) -> Report:
@@ -291,7 +278,7 @@ def orthogonality_report(sys: ReferenceSystem, ticks: int) -> Report:
     """
     wires = [(bit, value) for bit in range(sys.n_bits) for value in (0, 1)]
 
-    def consume(lo: int, raw: WireBank, bank: WireBank) -> np.ndarray:
+    def consume(lo: int, raw: WireBank) -> np.ndarray:
         planes = raw.planes.reshape(len(wires), -1)
         counts = [raw.count(planes), raw.count(planes ^ planes)]
         for a in range(len(wires) - 1):

@@ -120,25 +120,19 @@ def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[Equivalen
     one draw of the system's raw bank, chunk by chunk; the first mismatch
     in tick order is kept per case.
 
-    A case of n bits reads the first n bits' wires, which are the wires of
-    `ReferenceSystem(n, sys.seed)`: a stream key depends only on the seed
-    and the channel. A single case must be as wide as the system, and runs
-    on `map_window`'s own program path and buffers.
+    A case of n bits reads the first n bits' wires of each chunk, which are
+    the wires of `ReferenceSystem(n, sys.seed)`: a stream key depends only
+    on the seed and the channel. A case wider than the system is refused.
     """
-    window = count_window(ticks)
-    single = len(cases) == 1
 
-    def consume(lo: int, raw: WireBank, bank: WireBank) -> list:
+    def consume(lo: int, raw: WireBank) -> list:
         found = []
         for prog, y, expected_y in cases:
-            case_raw, case_bank = raw, bank
-            if not single:
-                case_raw = WireBank(raw.planes[: prog.n_bits], raw.n_ticks)
-                case_bank = case_raw.apply(prog)
-            found.append(_first_mismatch(lo, case_raw, case_bank, y, expected_y))
+            case_raw = WireBank(raw.planes[: prog.n_bits], raw.n_ticks)
+            found.append(_first_mismatch(lo, case_raw, case_raw.apply(prog), y, expected_y))
         return found
 
-    per_chunk = map_window(sys, window, consume, cases[0][0] if single else None)
+    per_chunk = map_window(sys, count_window(ticks), consume)
     return [EquivalenceResult(ticks, next(filter(None, column), None)) for column in zip(*per_chunk)]
 
 
@@ -327,7 +321,7 @@ SUITE_BITS = 4
 @dataclass
 class SuiteEntry:
     """One canonical circuit: compiled program vs expectation, plus the
-    signal-level equivalence on the expanded universe."""
+    signal-level equivalence on all 2^4 strings."""
 
     name: str
     program: InsertionProgram
@@ -365,11 +359,13 @@ class SuiteEntry:
 
 def canonical_suite(seed: int = DEFAULT_SEED, ticks: int = DEFAULT_TICKS) -> Report:
     """Compile every canonical circuit, check the exact insertion sets and
-    hardware counts, and verify signal equivalence on all 2^4 strings, every
-    circuit on one draw of the wires."""
-    everything = Superposition.universe(SUITE_BITS).expand()
+    hardware counts, and verify signal equivalence on the sum of all 2^4
+    strings with coefficients 1..16, every circuit on one draw of the wires."""
     circuits = [parse_circuit(text, n_bits=SUITE_BITS) for text, _, _ in CANONICAL_CIRCUITS.values()]
-    cases = [_oracle_case(circ, everything) for circ in circuits]
+    # Distinct coefficients: a program whose map differs from the circuit's
+    # moves some coefficient to another string, so its signal differs.
+    weighted = Superposition.explicit(SUITE_BITS, {s: s + 1 for s in range(1 << SUITE_BITS)})
+    cases = [_oracle_case(circ, weighted) for circ in circuits]
     results = _bank_equivalence(ReferenceSystem(SUITE_BITS, seed), cases, ticks)
     report = Report()
     for (name, (_, expected, expected_m)), case, equivalence in zip(CANONICAL_CIRCUITS.items(), cases, results):

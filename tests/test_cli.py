@@ -71,6 +71,12 @@ def test_compile_writes_output_file(circuit_file, tmp_path, capsys):
     assert json.loads(out_path.read_text())["M"] == 2
 
 
+def test_compile_unwritable_output_is_a_usage_error(circuit_file, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "prog.json"
+    code, _, err = run(["compile", "--circuit", circuit_file("NOT 0\n"), "--out", str(out_path)], capsys)
+    assert code == 2 and err.startswith("error:") and str(out_path) in err
+
+
 # -- simulate ----------------------------------------------------------------
 
 def test_simulate_universe_trace(tmp_path, capsys):
@@ -116,6 +122,13 @@ def test_simulate_writes_the_same_csv_in_any_row_chunks(rows, tmp_path, capsys, 
             out_path = tmp_path / f"trace.{fmt}"
             assert run(argv + ["--format", fmt, "--out", str(out_path)], capsys)[0] == 0
             assert out_path.read_bytes() == want.encode(), (window, fmt)
+
+
+def test_simulate_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "trace.csv"
+    argv = ["simulate", "--n", "2", "--ticks", "8", "--superposition", "universe", "--out", str(out_path)]
+    code, _, err = run(argv, capsys)
+    assert code == 2 and err.startswith("error:") and str(out_path) in err
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):

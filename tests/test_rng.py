@@ -184,7 +184,7 @@ def test_flip_mean_is_fair_at_five_sigma():
 def window_planes(system: ReferenceSystem, ticks, prog=None) -> np.ndarray:
     """A window's effective sign planes, put together from the chunks of
     the window driver in window order."""
-    return np.concatenate(map_window(system, ticks, lambda lo, raw, bank: bank.planes.copy(), prog), axis=-1)
+    return np.concatenate(map_window(system, ticks, lambda lo, raw: raw.apply(prog).planes.copy()), axis=-1)
 
 
 def planes_per_worker_count(monkeypatch, system, ticks, prog=None) -> list[np.ndarray]:

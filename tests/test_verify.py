@@ -199,9 +199,27 @@ def test_cases_checked_together_match_each_checked_alone(monkeypatch):
         assert sum(not r.passed for r in together) >= 15
 
 
-def test_a_single_case_must_be_as_wide_as_the_system():
-    prog = InsertionProgram.from_pairs(3, [(0, 1, 2)])
-    y = Superposition.universe(3)
+@pytest.mark.parametrize("ticks", [64, 5000])
+def test_a_single_narrower_case_matches_its_own_system(ticks, monkeypatch):
+    # One case of 3 bits on a 6-bit system reads the first 3 bits' wires,
+    # in chunks of 64 ticks: its result is the one its own system gives.
+    monkeypatch.setattr(reference, "_CHUNK_SAMPLES", 1 << 10)
+    rng = random.Random(8)
+    y = Superposition.explicit(3, {s: rng.choice((-2, 1, 3)) for s in range(8)})
+    cases = [verify._oracle_case(random_cascade(rng, 3, 5, not_rate=0.3), y)]
+    cases.append((InsertionProgram.from_pairs(3, [(0, 1, 2)]), y, y))
+    passed = []
+    for case in cases:
+        (narrow,) = _bank_equivalence(ReferenceSystem(6, 9), [case], ticks)
+        (alone,) = _bank_equivalence(ReferenceSystem(3, 9), [case], ticks)
+        assert narrow.to_dict() == alone.to_dict()
+        passed.append(narrow.passed)
+    assert passed == [True, False]
+
+
+def test_a_case_wider_than_the_system_is_refused():
+    prog = InsertionProgram.from_pairs(5, [(0, 1, 2)])
+    y = Superposition.universe(5)
     with pytest.raises(ValueError, match="does not match"):
         _bank_equivalence(ReferenceSystem(4, 1), [(prog, y, y)], 64)
 
@@ -338,12 +356,20 @@ def test_canonical_suite_matches_standalone_checks(seed, ticks, dropped, monkeyp
     # must equal its own check, also when the programs are wrong.
     if dropped:
         _drop_one_insertion(monkeypatch)
-    everything = Superposition.universe(4).expand()
+    weighted = Superposition.explicit(4, {s: s + 1 for s in range(16)})
     suite = canonical_suite(seed=seed, ticks=ticks)
     for entry in suite.entries:
         circuit = parse_circuit(CANONICAL_CIRCUITS[entry.name][0], n_bits=4)
-        alone = signal_equivalence_check(ReferenceSystem(4, seed), circuit, everything, ticks)
+        alone = signal_equivalence_check(ReferenceSystem(4, seed), circuit, weighted, ticks)
         assert entry.equivalence.to_dict() == alone.to_dict()
-    # Every circuit maps the 16 strings onto themselves, so a damaged program
-    # that leaves their signal unchanged (as the empty one does) still passes.
-    assert any(not e.equivalence.passed for e in suite.entries) is dropped
+    # Each string has its own coefficient, so a program that moves any of
+    # them to another string fails its entry.
+    assert all(e.equivalence.passed is not dropped for e in suite.entries)
+
+
+def test_the_canonical_suite_fails_every_empty_program(monkeypatch):
+    # The empty program leaves every wire as it is; no canonical circuit is
+    # the identity, so each entry must fail on its signal as well.
+    monkeypatch.setattr(verify, "compile_to_insertions", lambda amap: InsertionProgram(amap.n_bits, ()))
+    suite = canonical_suite(seed=42, ticks=1024)
+    assert not any(e.equivalence.passed or e.program_ok for e in suite.entries)
