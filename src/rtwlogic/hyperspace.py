@@ -198,7 +198,8 @@ class Superposition:
                 return "universe"
             return "".join("*" if len(v) == 2 else str(v[0]) for v in self.allowed)
         chunks = []
-        for s, c in self.terms:
+        # The empty sum is written as one term with coefficient 0.
+        for s, c in self.terms or ((0, 0),):
             bits = format_bits(s, self.n_bits)
             chunks.append(bits if c == 1 else f"{c}*{bits}")
         text = ";".join(chunks)

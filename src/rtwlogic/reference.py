@@ -17,7 +17,7 @@ import numpy as np
 
 from .compiler import InsertionProgram, _check_int
 from .report import Report, StatEntry
-from .rng import coin_flips, hash_scratch, sign_planes, stream_key, unpack_signs
+from .rng import coin_flips, sign_planes, stream_key, unpack_signs
 
 MAX_BITS = 32
 DEFAULT_SEED = 42
@@ -45,6 +45,8 @@ def as_window(ticks) -> tuple[range | np.ndarray, bool]:
         return ticks, False
     scalar = isinstance(ticks, (int, np.integer))
     arr = np.atleast_1d(np.asarray(ticks))
+    if arr.ndim > 1:
+        raise ValueError(f"ticks must be a scalar or one-dimensional, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise ValueError(f"ticks must be integers, got dtype {arr.dtype}")
     if arr.dtype.kind == "i" and arr.size and int(arr.min()) < 0:
@@ -124,15 +126,10 @@ class WireBank:
         self.n_ticks = n_ticks
 
     @classmethod
-    def draw(cls, system: ReferenceSystem, ticks, out: np.ndarray | None = None, scratch=None) -> "WireBank":
-        """The raw reference wires; each is hashed exactly once. `out` (flat
-        uint8 of the planes' size) and `scratch` (`rng.hash_scratch`) are
-        reused when given."""
+    def draw(cls, system: ReferenceSystem, ticks) -> "WireBank":
+        """The raw reference wires, in new planes; each is hashed exactly once."""
         window, _ = as_window(ticks)
-        keys = system.keys
-        if out is not None:
-            out = out.reshape(len(keys), -1)
-        planes = sign_planes(keys, window, out, scratch).reshape(system.n_bits, 2, -1)
+        planes = sign_planes(system.keys, window).reshape(system.n_bits, 2, -1)
         return cls(planes, len(window))
 
     @property
@@ -218,52 +215,39 @@ def map_window(system: ReferenceSystem, window, consume) -> list:
 
     `window` is a `range` of consecutive ticks or a tick array (see
     `as_window`). A chunk is at most _CHUNK_SAMPLES samples of whole
-    64-tick words: `raw` holds its raw wires and `lo` is its first position
-    in the window. A consumer that needs a program's effective wires builds
-    them with `raw.apply(prog)`. Every sample is a pure function of (seed,
-    wire, tick), so chunks may run in any order: a window of at least
-    _PARALLEL_MIN samples runs them on up to _WORKERS threads, which take
-    the next chunk from one shared iterator and are all joined before this
-    returns, also when one of them raised. Each worker draws all its chunks
-    into one set of buffers, so `consume` must not keep `raw`. A window of
-    at most one chunk is drawn whole on the calling thread.
+    64-tick words: `raw` holds its raw wires, in planes of its own that
+    `consume` may keep, and `lo` is its first position in the window. An
+    empty window is one empty chunk. A consumer that needs a program's
+    effective wires builds them with `raw.apply(prog)`. Every sample is a
+    pure function of (seed, wire, tick), so chunks may run in any order: a
+    window of at least _PARALLEL_MIN samples runs them on up to _WORKERS
+    threads, which take the next chunk from one shared iterator and are all
+    joined before this returns, also when one of them raised.
     """
     n_keys, n = 2 * system.n_bits, len(window)
     step = max(64, _CHUNK_SAMPLES // n_keys // 64 * 64)
-    if n <= step:
-        return [consume(0, WireBank.draw(system, window))]
-    workers = min(_WORKERS, -(-n // step)) if n_keys * n >= _PARALLEL_MIN else 1
-    # Each worker takes the next chunk from one shared iterator (a single
-    # call under the interpreter lock), so a worker on a busy core takes fewer.
-    starts = iter(range(0, n, step))
-    results: list = [None] * -(-n // step)
-    jobs = []
-    for _ in range(workers):
-        # The caller allocates every worker's buffers: what a worker thread
-        # allocates goes to that thread's own malloc arena and stays resident.
-        buffers = (np.empty(n_keys * step // 8, dtype=np.uint8), hash_scratch(n_keys, step))
-        jobs.append((system, window, consume, starts, step, buffers, results))
-    if workers > 1:
-        # Imported here: it costs serial callers 5-10 ms of start-up.
-        from concurrent.futures import ThreadPoolExecutor
+    starts = range(0, max(n, 1), step)
+    results: list = [None] * len(starts)
+    # Taking the next start is a single call under the interpreter lock, so
+    # the workers share one iterator, and a worker on a busy core takes fewer.
+    chunks = iter(starts)
 
-        # Leaving the block joins every worker, also when one of them raised.
-        with ThreadPoolExecutor(workers, thread_name_prefix="rtwlogic-chunk") as pool:
-            for future in [pool.submit(_run_chunks, *job) for job in jobs]:
-                future.result()
-    else:
-        _run_chunks(*jobs[0])
+    def work() -> None:
+        for lo in chunks:
+            results[lo // step] = consume(lo, WireBank.draw(system, window[lo : lo + step]))
+
+    workers = min(_WORKERS, len(starts)) if n_keys * n >= _PARALLEL_MIN else 1
+    if workers == 1:
+        work()
+        return results
+    # Imported here: it costs serial callers 5-10 ms of start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Leaving the block joins every worker, also when one of them raised.
+    with ThreadPoolExecutor(workers, thread_name_prefix="rtwlogic-chunk") as pool:
+        for future in [pool.submit(work) for _ in range(workers)]:
+            future.result()
     return results
-
-
-def _run_chunks(system, window, consume, starts, step: int, buffers, results: list) -> None:
-    """Draw and consume the `step` ticks from each start in `starts`, in one
-    set of buffers, storing each result at its chunk's index."""
-    planes, scratch = buffers
-    for lo in starts:
-        chunk = window[lo : lo + step]
-        size = 2 * system.n_bits * 8 * -(-len(chunk) // 64)
-        results[lo // step] = consume(lo, WireBank.draw(system, chunk, planes[:size], scratch))
 
 
 def orthogonality_report(sys: ReferenceSystem, ticks: int) -> Report:

@@ -86,13 +86,6 @@ def unpack_signs(planes: np.ndarray, count: int) -> np.ndarray:
     return samples
 
 
-def hash_scratch(n_keys: int, n_ticks: int) -> np.ndarray:
-    """Scratch for `sign_planes` of `n_keys` streams over windows of at most
-    `n_ticks` ticks: two uint64 buffers of one tile (see `_tile_shape`), at
-    most _TILE hashes each. The tiles of a shorter window fit in it too."""
-    return np.empty((2, *_tile_shape(n_keys, n_ticks)), dtype=np.uint64)
-
-
 def _tile_shape(n_keys: int, n_ticks: int) -> tuple[int, int]:
     """Streams and ticks of a tile: whole 64-tick words, at least one and at
     most _TILE ticks, of as many whole streams as fit in _TILE hashes. So a
@@ -102,7 +95,7 @@ def _tile_shape(n_keys: int, n_ticks: int) -> tuple[int, int]:
     return min(n_keys, _TILE // cols), cols
 
 
-def sign_planes(keys, ticks, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+def sign_planes(keys, ticks) -> np.ndarray:
     """Packed sign bits of the streams `keys` at the ticks of a window.
 
     The window is a uint64 array of tick counters or a `range` of
@@ -114,20 +107,17 @@ def sign_planes(keys, ticks, out: np.ndarray | None = None, scratch: np.ndarray 
     64-tick words small enough to stay in cache (see `_tile_shape`). A
     window longer than one tile is hashed stream-major: a tile is a run of
     one stream's ticks, so its counters are one contiguous add of a scalar
-    and its compare, pack and copy into `out` are contiguous too. `out` (the
-    result's shape) and `scratch` (from `hash_scratch`) are reused when
-    given.
+    and its compare, pack and copy into the result are contiguous too. The
+    result and the two-tile scratch are allocated per call; the scratch is
+    freed when this returns.
     """
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
     n_keys, n = keys.shape[0], len(ticks)
-    if out is None:
-        out = np.empty((n_keys, 8 * -(-n // 64)), dtype=np.uint8)
+    out = np.empty((n_keys, 8 * -(-n // 64)), dtype=np.uint8)
     # The tiles below write every byte but the padding.
     out[:, -(-n // 8) :] = 0
-    h, tmp = hash_scratch(n_keys, n) if scratch is None else scratch
-    # A scratch sized for a longer window may hold fewer streams of this one.
     rows, cols = _tile_shape(n_keys, n)
-    rows = min(rows, h.shape[0])
+    h, tmp = np.empty((2, rows, cols), dtype=np.uint64)
     if isinstance(ticks, range):
         # At tick start + lo + j the hash input is (key + G * (start + lo)) + G * j.
         steps = np.arange(min(cols, n), dtype=np.uint64)

@@ -103,7 +103,7 @@ def universe_invariance_check(
     """
     if not circ.is_pure_cnot:
         raise ValueError("universe invariance is stated for CNOT-only cascades")
-    universe = Superposition.universe(sys.n_bits)
+    universe = Superposition.universe(circ.n_bits)
     case = (compile_to_insertions(circuit_to_affine(circ)), universe, universe)
     return _bank_equivalence(sys, [case], ticks)[0]
 
@@ -122,8 +122,13 @@ def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[Equivalen
 
     A case of n bits reads the first n bits' wires of each chunk, which are
     the wires of `ReferenceSystem(n, sys.seed)`: a stream key depends only
-    on the seed and the channel. A case wider than the system is refused.
+    on the seed and the channel. Before anything is drawn, a case is refused
+    whose three widths differ or exceed the system's.
     """
+    for prog, y, expected_y in cases:
+        if not prog.n_bits == y.n_bits == expected_y.n_bits <= sys.n_bits:
+            widths = f"(program, y, expected_y) n_bits={prog.n_bits, y.n_bits, expected_y.n_bits}"
+            raise ValueError(f"case {widths} does not match system n_bits={sys.n_bits}")
 
     def consume(lo: int, raw: WireBank) -> list:
         found = []

@@ -159,6 +159,16 @@ def test_simulate_json_format_with_circuit(circuit_file, tmp_path, capsys):
     assert json.loads(base.read_text())["signals"] == payload["signals"]
 
 
+def test_simulate_json_writes_a_cancelled_sum_as_text_that_parses(tmp_path, capsys):
+    out_path = tmp_path / "trace.json"
+    argv = ["simulate", "--n", "2", "--ticks", "4", "--superposition", "1*00;-1*00",
+            "--format", "json", "--out", str(out_path)]
+    assert run(argv, capsys)[0] == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["superposition"] == "0*00;" and payload["signals"] == [0] * 4
+    assert parse_superposition(payload["superposition"]) == parse_superposition("1*00;-1*00")
+
+
 @pytest.mark.parametrize("ticks", [1, 2, (1 << 16) + 1])
 @pytest.mark.parametrize("circuit", [None, "NOT 2\nCNOT 0 1\nCNOT 2 0\n"])
 def test_simulate_streams_the_bytes_of_one_json_dump(ticks, circuit, circuit_file, tmp_path, capsys):

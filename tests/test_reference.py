@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rtwlogic.compiler import GateCircuit, InsertionProgram, cnot, compile_circuit, parse_circuit
-from rtwlogic.hyperspace import Superposition, membership_estimate, zero_fraction
+from rtwlogic.hyperspace import Superposition, membership_estimate, superposition_sample, zero_fraction
 from rtwlogic.reference import (
     MAX_BITS,
     ReferenceSystem,
@@ -209,6 +209,20 @@ def test_validation_errors():
         as_window(2.5)
     with pytest.raises(ValueError):
         orthogonality_report(sys2, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ticks: ReferenceSystem(2, 1).sample(0, 0, ticks),
+        lambda ticks: ReferenceSystem(2, 1).wire_table(None, ticks),
+        lambda ticks: superposition_sample(ReferenceSystem(2, 1), None, Superposition.universe(2), ticks),
+    ],
+    ids=["sample", "wire_table", "superposition_sample"],
+)
+def test_a_two_dimensional_tick_array_is_refused(call):
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 3\)"):
+        call(np.arange(6).reshape(2, 3))
 
 
 @pytest.mark.parametrize("ticks", [2.5, 3.0, np.float64(3.0), True], ids=["2.5", "3.0", "float64", "bool"])

@@ -83,19 +83,28 @@ def test_sign_planes_match_the_scalar_path_across_tiles():
 
 
 def test_a_range_window_hashes_like_its_tick_array(monkeypatch):
-    # Counters built from a start tick, near 2^64 too, in tiles of 64 ticks,
-    # into a reused buffer whose old bytes, padding included, must all be
-    # overwritten.
+    # Counters built from a start tick, near 2^64 too, in tiles of 64 ticks.
     monkeypatch.setattr(rng, "_TILE", 1 << 8)
     keys = [stream_key(8, ch) for ch in range(6)]
-    out = np.full((6, 8 * 41), 0xFF, dtype=np.uint8)
-    scratch = rng.hash_scratch(6, 2600)
     for start in (0, 77, 2**64 - 2600):
         for n in (0, 1, 65, 2600):
-            window = range(start, start + n)
             want = sign_planes(keys, np.arange(start, start + n, dtype=np.uint64))
-            got = sign_planes(keys, window, out[:, : want.shape[1]], scratch)
-            assert np.array_equal(got, want), (start, n)
+            assert np.array_equal(sign_planes(keys, range(start, start + n)), want), (start, n)
+
+
+@pytest.mark.parametrize("n", [1, 65, 100, 2600])
+def test_the_row_padding_is_zero_in_reused_memory(n, monkeypatch):
+    # A 0xFF block of the result's size is freed just before each call, so
+    # the allocator may hand its bytes back as the result; the padding past
+    # the window, which no tile writes, must still read zero.
+    monkeypatch.setattr(rng, "_TILE", 1 << 8)
+    keys = np.array([stream_key(3, ch) for ch in range(6)], dtype=np.uint64)
+    for ticks in (range(n), np.arange(n, dtype=np.uint64)):
+        for _ in range(20):
+            block = np.full((6, 8 * -(-n // 64)), 0xFF, dtype=np.uint8)
+            del block
+            planes = sign_planes(keys, ticks)
+            assert not np.unpackbits(planes, axis=1, bitorder="little")[:, n:].any()
 
 
 def assert_scalar_planes(planes: np.ndarray, keys, ticks) -> None:
@@ -113,8 +122,7 @@ def assert_scalar_planes(planes: np.ndarray, keys, ticks) -> None:
 @given(st.data())
 def test_tiles_of_any_shape_hash_like_the_scalar_path(data):
     """One tile of all streams, row blocks of several streams and runs of
-    one stream, with ragged ends, from any start and in scratch sized for
-    a longer window, whose tiles may hold fewer streams of this one."""
+    one stream, with ragged ends, from any start."""
     tile = data.draw(st.sampled_from([1 << 8, 1 << 9]), "tile")
     n_keys = data.draw(st.integers(1, 64), "n_keys")
     edges = [k * tile + d for k in range(4) for d in (-64, -1, 0, 1, 63) if 0 <= k * tile + d <= 3 * tile]
@@ -129,21 +137,16 @@ def test_tiles_of_any_shape_hash_like_the_scalar_path(data):
             ticks = ticks[np.random.default_rng(n).permutation(n)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "_TILE", tile)
-        scratch = rng.hash_scratch(n_keys, n + data.draw(st.integers(0, 2 * tile), "longer"))
-        scratch[...] = 0x5A5A5A5A5A5A5A5A
-        out = np.full((n_keys, 8 * -(-n // 64)), 0xFF, dtype=np.uint8)
-        planes = sign_planes(keys, ticks, out, scratch)
-    assert planes is out
+        planes = sign_planes(keys, ticks)
     assert_scalar_planes(planes, keys, ticks)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_a_short_last_chunk_is_hashed_in_the_scratch_of_long_ones(data):
-    # The driver sizes each worker's scratch for a full chunk. A full chunk
-    # of more than half a tile is hashed one stream per tile, while a last
-    # chunk of at most half a tile wants tiles of several streams, which
-    # that scratch does not hold.
+def test_a_short_last_chunk_takes_the_other_tile_shape(data):
+    # A full chunk of more than half a tile is hashed one stream per tile,
+    # while a last chunk of at most half a tile is hashed in tiles of
+    # several streams.
     tile = data.draw(st.sampled_from([1 << 8, 1 << 9]))
     system = ReferenceSystem(data.draw(st.integers(1, 8)), data.draw(st.integers(0, 2**64 - 1)))
     n_keys = 2 * system.n_bits
@@ -184,7 +187,7 @@ def test_flip_mean_is_fair_at_five_sigma():
 def window_planes(system: ReferenceSystem, ticks, prog=None) -> np.ndarray:
     """A window's effective sign planes, put together from the chunks of
     the window driver in window order."""
-    return np.concatenate(map_window(system, ticks, lambda lo, raw: raw.apply(prog).planes.copy()), axis=-1)
+    return np.concatenate(map_window(system, ticks, lambda lo, raw: raw.apply(prog).planes), axis=-1)
 
 
 def planes_per_worker_count(monkeypatch, system, ticks, prog=None) -> list[np.ndarray]:
@@ -277,43 +280,59 @@ def _threaded_draw(monkeypatch, workers: int = 2):
 
 def test_a_threaded_draw_leaves_no_thread_behind(monkeypatch):
     system, ticks, want = _threaded_draw(monkeypatch)
-    started = []
-    run_chunks = reference._run_chunks
+    started = set()
+    # Each worker waits at its first chunk until the other has started too.
+    both = threading.Barrier(2, timeout=30)
+    draw = WireBank.draw
 
-    def record(*args) -> None:
-        started.append(threading.current_thread().name)
-        run_chunks(*args)
+    def record(system, chunk) -> WireBank:
+        name = threading.current_thread().name
+        if name not in started:
+            started.add(name)
+            both.wait()
+        return draw(system, chunk)
 
-    monkeypatch.setattr(reference, "_run_chunks", record)
+    monkeypatch.setattr(WireBank, "draw", record)
     assert np.array_equal(window_planes(system, ticks), want)
     assert len(started) == 2 and all(name.startswith("rtwlogic-chunk") for name in started)
     assert _chunk_threads() == []
 
 
 def test_a_failing_worker_fails_the_draw_after_every_worker_ends(monkeypatch):
-    # The first worker raises at once; the others finish their chunks later.
-    # A worker's error must reach the caller rather than leave chunks out,
-    # and only once no worker still writes into the caller's buffers.
+    # The first draw raises at once; the other two workers draw the 39
+    # chunks left, each a little later. A worker's error must reach the
+    # caller rather than leave chunks out, and only once no worker still draws.
     system, ticks, _ = _threaded_draw(monkeypatch, workers=3)
     calls, finished = [], []
     lock = threading.Lock()
-    run_chunks = reference._run_chunks
+    draw = WireBank.draw
 
-    def fail_first(*args) -> None:
+    def fail_first(system, chunk) -> WireBank:
         with lock:
             calls.append(None)
             first = len(calls) == 1
         if first:
             raise RuntimeError("worker failed")
-        time.sleep(0.2)
-        run_chunks(*args)
+        time.sleep(0.01)
+        bank = draw(system, chunk)
         finished.append(None)
+        return bank
 
-    monkeypatch.setattr(reference, "_run_chunks", fail_first)
+    monkeypatch.setattr(WireBank, "draw", fail_first)
     with pytest.raises(RuntimeError, match="worker failed"):
         window_planes(system, ticks)
-    assert len(finished) == 2
+    assert len(calls) == 40 and len(finished) == 39
     assert _chunk_threads() == []
+
+
+def test_a_consumer_may_keep_every_chunk(monkeypatch):
+    # Every chunk is drawn into planes of its own, so banks kept from a
+    # threaded window of 40 chunks put together the planes of one draw.
+    system, ticks, _ = _threaded_draw(monkeypatch)
+    kept = map_window(system, ticks, lambda lo, raw: raw)
+    assert len(kept) == 40
+    planes = np.concatenate([raw.planes for raw in kept], axis=-1).reshape(8, -1)
+    assert np.array_equal(planes, sign_planes(system.keys, ticks))
 
 
 def test_concurrent_callers_get_the_serial_planes(monkeypatch):

@@ -217,11 +217,40 @@ def test_a_single_narrower_case_matches_its_own_system(ticks, monkeypatch):
     assert passed == [True, False]
 
 
-def test_a_case_wider_than_the_system_is_refused():
+def test_a_case_wider_than_the_system_is_refused(monkeypatch):
+    monkeypatch.setattr(WireBank, "draw", _must_not_draw)
     prog = InsertionProgram.from_pairs(5, [(0, 1, 2)])
     y = Superposition.universe(5)
     with pytest.raises(ValueError, match="does not match"):
         _bank_equivalence(ReferenceSystem(4, 1), [(prog, y, y)], 64)
+
+
+@pytest.mark.parametrize(
+    "widths",
+    [(3, 2, 2), (2, 3, 2), (2, 2, 3), (2, 3, 3)],
+    ids=["program", "y", "expected_y", "superpositions"],
+)
+def test_a_case_of_mixed_widths_is_refused_before_drawing(widths, monkeypatch):
+    # The program, y and expected_y of a case must be as wide as one another.
+    monkeypatch.setattr(WireBank, "draw", _must_not_draw)
+    prog_bits, y_bits, expected_bits = widths
+    prog = InsertionProgram.from_pairs(prog_bits, [])
+    case = (prog, Superposition.universe(y_bits), Superposition.universe(expected_bits))
+    with pytest.raises(ValueError, match="does not match system n_bits=4"):
+        _bank_equivalence(ReferenceSystem(4, 1), [case], 64)
+
+
+@pytest.mark.parametrize("dropped", [False, True])
+def test_universe_invariance_of_a_narrower_circuit(dropped, monkeypatch):
+    # A 2-bit circuit on a 3-bit system is checked on the first two bits'
+    # wires: the result is the one a 2-bit system at the seed gives, also
+    # when the program misses an insertion and the check fails.
+    if dropped:
+        _drop_one_insertion(monkeypatch)
+    circ = parse_circuit("CNOT 1 0\nCNOT 0 1")
+    narrow = universe_invariance_check(ReferenceSystem(3, 1), circ, 64)
+    assert narrow == universe_invariance_check(ReferenceSystem(2, 1), circ, 64)
+    assert narrow.passed is not dropped
 
 
 def test_universe_invariance_for_empty_circuit():
@@ -251,7 +280,7 @@ def test_random_trials_refuse_to_pass_on_no_trials(n_trials, seeds):
 
 
 def _must_not_draw(*args, **kwargs):
-    raise AssertionError("drew before the tick count was checked")
+    raise AssertionError("drew before the inputs were checked")
 
 
 @pytest.mark.parametrize("ticks", [0, -1, 2.5, True])
@@ -290,16 +319,17 @@ def test_trials_on_a_shared_draw_match_each_trial_alone(config, dropped, monkeyp
         if config == "threads":
             patch.setattr(reference, "_PARALLEL_MIN", 1 << 12)
             patch.setattr(reference, "_WORKERS", 2)
-            run_chunks = reference._run_chunks
+            draw = WireBank.draw
 
-            def record(*args) -> None:
+            def record(system, chunk) -> WireBank:
                 runs.append(threading.current_thread().name)
-                run_chunks(*args)
+                return draw(system, chunk)
 
-            patch.setattr(reference, "_run_chunks", record)
+            patch.setattr(WireBank, "draw", record)
         report = random_equivalence_trials(12, seeds=(3, 99), ticks=ticks, draw_seed=5)
     if config == "threads":
-        assert len(runs) == 4 and all(name.startswith("rtwlogic-chunk") for name in runs)
+        # 16 chunks of 64 ticks per seed, every one drawn on a worker thread
+        assert len(runs) == 32 and all(name.startswith("rtwlogic-chunk") for name in runs)
     assert len(report.trials) == 24 and [t.seed for t in report.trials] == [3, 99] * 12
     widths = set()
     for trial in report.trials:
