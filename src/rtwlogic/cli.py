@@ -28,9 +28,11 @@ from .verify import DEFAULT_TICKS, canonical_suite, random_equivalence_trials
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
-# Ticks of a trace evaluated at a time: 8 MiB of int64 signal, and with
-# N >= 8 bits at least 2^24 samples, so the window is hashed on threads.
-_TRACE_WINDOW = 1 << 20
+# Ticks of a trace evaluated at a time: 4 MiB of int64 signal. On a 2-CPU
+# host with 2 or 4 hashing threads, a 4x10^6-tick CSV trace at N=20 peaked
+# 3.3-7.5 MB above a 10^6-tick one with windows of 2^20 ticks, and at most
+# 1 MB above with 2^19.
+_TRACE_WINDOW = 1 << 19
 # Ticks of a trace (CSV rows or JSON values) formatted and written at a time.
 _TRACE_ROWS = 1 << 16
 

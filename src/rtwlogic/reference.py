@@ -26,12 +26,6 @@ DEFAULT_SEED = 42
 # planes. Chunks are whole 64-tick words, so the planes of consecutive
 # chunks concatenate to those of the window.
 _CHUNK_SAMPLES = 1 << 22
-# Windows of at least this many samples run their chunks on _WORKERS
-# threads; smaller ones are serial and start no thread. On a shared 2-core
-# host, two threads were 0.9-1.3x as fast as one at 2^21-2^23 samples,
-# depending on whether the second core was free, and 1.2-1.6x from 2^24 up;
-# below 2^24 the threads add more run-to-run spread than speed.
-_PARALLEL_MIN = 1 << 24
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -220,34 +214,26 @@ def map_window(system: ReferenceSystem, window, consume) -> list:
     empty window is one empty chunk. A consumer that needs a program's
     effective wires builds them with `raw.apply(prog)`. Every sample is a
     pure function of (seed, wire, tick), so chunks may run in any order: a
-    window of at least _PARALLEL_MIN samples runs them on up to _WORKERS
-    threads, which take the next chunk from one shared iterator and are all
-    joined before this returns, also when one of them raised.
+    window of one chunk, or any window on one CPU, runs on the calling
+    thread, and a longer one on up to _WORKERS threads, which are all
+    joined before this returns, also when a chunk raised.
     """
-    n_keys, n = 2 * system.n_bits, len(window)
-    step = max(64, _CHUNK_SAMPLES // n_keys // 64 * 64)
-    starts = range(0, max(n, 1), step)
-    results: list = [None] * len(starts)
-    # Taking the next start is a single call under the interpreter lock, so
-    # the workers share one iterator, and a worker on a busy core takes fewer.
-    chunks = iter(starts)
+    step = max(64, _CHUNK_SAMPLES // (2 * system.n_bits) // 64 * 64)
+    starts = range(0, max(len(window), 1), step)
 
-    def work() -> None:
-        for lo in chunks:
-            results[lo // step] = consume(lo, WireBank.draw(system, window[lo : lo + step]))
+    def run(lo: int):
+        return consume(lo, WireBank.draw(system, window[lo : lo + step]))
 
-    workers = min(_WORKERS, len(starts)) if n_keys * n >= _PARALLEL_MIN else 1
+    workers = min(_WORKERS, len(starts))
     if workers == 1:
-        work()
-        return results
+        return list(map(run, starts))
     # Imported here: it costs serial callers 5-10 ms of start-up.
     from concurrent.futures import ThreadPoolExecutor
 
-    # Leaving the block joins every worker, also when one of them raised.
+    # Leaving the block joins every thread; once a chunk's error is read,
+    # map cancels the chunks that have not started.
     with ThreadPoolExecutor(workers, thread_name_prefix="rtwlogic-chunk") as pool:
-        for future in [pool.submit(work) for _ in range(workers)]:
-            future.result()
-    return results
+        return list(pool.map(run, starts))
 
 
 def orthogonality_report(sys: ReferenceSystem, ticks: int) -> Report:

@@ -190,6 +190,11 @@ def window_planes(system: ReferenceSystem, ticks, prog=None) -> np.ndarray:
     return np.concatenate(map_window(system, ticks, lambda lo, raw: raw.apply(prog).planes), axis=-1)
 
 
+def chunk_ticks(system: ReferenceSystem) -> int:
+    """Ticks of a full chunk of the window driver."""
+    return max(64, reference._CHUNK_SAMPLES // (2 * system.n_bits) // 64 * 64)
+
+
 def planes_per_worker_count(monkeypatch, system, ticks, prog=None) -> list[np.ndarray]:
     out = []
     for workers in (1, 2, 3):
@@ -207,15 +212,14 @@ def every_gate(n_bits: int):
 def test_sign_planes_do_not_depend_on_the_worker_count(n_keys, monkeypatch):
     # A system draws 2N keys: an even n_keys reads the raw planes of N =
     # n_keys / 2 bits, an odd one the effective planes under a program on
-    # N = (n_keys + 1) / 2 bits. A low threshold and small chunks and tiles
-    # give every worker several chunks of several tiles, the last one
-    # ragged, while the draws stay small.
-    monkeypatch.setattr(reference, "_PARALLEL_MIN", 1 << 12)
+    # N = (n_keys + 1) / 2 bits. Small chunks and tiles give every worker
+    # several chunks of several tiles, the last one ragged, while the draws
+    # stay small.
     monkeypatch.setattr(reference, "_CHUNK_SAMPLES", 1 << 10)
     monkeypatch.setattr(rng, "_TILE", 1 << 8)
     system = ReferenceSystem(-(-n_keys // 2), 5)
     prog = every_gate(system.n_bits) if n_keys % 2 else None
-    edge = -(-reference._PARALLEL_MIN // (2 * system.n_bits))  # fewest ticks drawn on threads
+    edge = chunk_ticks(system)  # the most ticks drawn on the calling thread
     gen = np.random.default_rng(n_keys)
     for n in sorted({0, 1, 63, 64, 65, 191, 64 * 11 - 1, 64 * 11 + 1, edge - 1, edge, edge + 1, 4097}):
         offset = int(gen.integers(0, 2**40))
@@ -232,13 +236,13 @@ def test_sign_planes_do_not_depend_on_the_worker_count(n_keys, monkeypatch):
 
 @pytest.mark.parametrize("n_keys", [1, 16, 17, 40])
 def test_the_parallel_threshold_changes_no_plane(n_keys, monkeypatch):
-    # At the real chunk size and threshold: with 16 keys (8 bits) the
-    # threshold falls at 2^20 ticks, so 2^20 - 1 is serial and 2^20 and
-    # 2^20 + 1 are threaded. n_keys rounds up to whole systems.
+    # At the real chunk size: a window of one chunk is drawn on the calling
+    # thread and one tick more on threads. With 40 keys (20 bits) a chunk
+    # is 104,832 ticks. n_keys rounds up to whole systems.
     system = ReferenceSystem(-(-n_keys // 2), 9)
     keys = system.keys.tolist()
-    edge = -(-reference._PARALLEL_MIN // len(keys))
-    for n in (edge - 1, edge, edge + 1):
+    edge = chunk_ticks(system)
+    for n in (edge, edge + 1):
         serial, *threaded = planes_per_worker_count(monkeypatch, system, range(n))
         for planes in threaded:
             assert np.array_equal(planes, serial)
@@ -254,12 +258,24 @@ def _no_threads(*args, **kwargs):
 
 
 def test_small_draws_start_no_pool(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_threads)
     monkeypatch.setattr(reference, "_WORKERS", 2)
-    # the largest draw of a random-verify trial: 8 bits x 2 wires x 1024 ticks
-    window_planes(ReferenceSystem(8, 1), range(1024))
-    # three chunks, but 2^23 + 2^21 samples: below the threshold
-    window_planes(ReferenceSystem(20, 1), range(1 << 18), every_gate(20))
+    system, prog = ReferenceSystem(20, 1), every_gate(20)
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_threads)
+        # the largest draw of a random-verify trial: 8 bits x 2 wires x 1024 ticks
+        window_planes(ReferenceSystem(8, 1), range(1024))
+        # one full chunk of 20 bits
+        window_planes(system, range(104_832), prog)
+    names = set()
+    draw = WireBank.draw
+
+    def record(system, chunk) -> WireBank:
+        names.add(threading.current_thread().name)
+        return draw(system, chunk)
+
+    monkeypatch.setattr(WireBank, "draw", record)
+    window_planes(system, range(104_833), prog)
+    assert names and all(name.startswith("rtwlogic-chunk") for name in names)
 
 
 def _chunk_threads() -> list[threading.Thread]:
@@ -273,7 +289,6 @@ def _threaded_draw(monkeypatch, workers: int = 2):
     ticks = range(5000)
     want = WireBank.draw(system, ticks).planes
     monkeypatch.setattr(reference, "_WORKERS", workers)
-    monkeypatch.setattr(reference, "_PARALLEL_MIN", 1 << 10)
     monkeypatch.setattr(reference, "_CHUNK_SAMPLES", 1 << 10)
     return system, ticks, want
 
@@ -299,12 +314,14 @@ def test_a_threaded_draw_leaves_no_thread_behind(monkeypatch):
 
 
 def test_a_failing_worker_fails_the_draw_after_every_worker_ends(monkeypatch):
-    # The first draw raises at once; the other two workers draw the 39
-    # chunks left, each a little later. A worker's error must reach the
-    # caller rather than leave chunks out, and only once no worker still draws.
+    # The first draw raises once a second one has started; the others draw
+    # a little later. A worker's error must reach the caller rather than
+    # leave chunks out, and only once no started draw is still running; the
+    # chunks that had not started by then are cancelled.
     system, ticks, _ = _threaded_draw(monkeypatch, workers=3)
     calls, finished = [], []
     lock = threading.Lock()
+    second = threading.Event()
     draw = WireBank.draw
 
     def fail_first(system, chunk) -> WireBank:
@@ -312,7 +329,9 @@ def test_a_failing_worker_fails_the_draw_after_every_worker_ends(monkeypatch):
             calls.append(None)
             first = len(calls) == 1
         if first:
+            second.wait(timeout=30)
             raise RuntimeError("worker failed")
+        second.set()
         time.sleep(0.01)
         bank = draw(system, chunk)
         finished.append(None)
@@ -321,7 +340,7 @@ def test_a_failing_worker_fails_the_draw_after_every_worker_ends(monkeypatch):
     monkeypatch.setattr(WireBank, "draw", fail_first)
     with pytest.raises(RuntimeError, match="worker failed"):
         window_planes(system, ticks)
-    assert len(calls) == 40 and len(finished) == 39
+    assert 2 <= len(calls) < 40 and len(finished) == len(calls) - 1
     assert _chunk_threads() == []
 
 
@@ -367,7 +386,7 @@ def test_a_forked_child_hashes_on_its_own_pool(monkeypatch):
     # The parent has run a window on threads before the fork; the child starts its own.
     monkeypatch.setattr(reference, "_WORKERS", 2)
     system = ReferenceSystem(8, 3)
-    ticks = range(reference._PARALLEL_MIN // 16 + 77)
+    ticks = range((1 << 20) + 77)
     want = window_planes(system, ticks)
     child = multiprocessing.get_context("fork").Process(target=_draw_and_compare, args=(system, ticks, want))
     child.start()

@@ -317,7 +317,6 @@ def test_trials_on_a_shared_draw_match_each_trial_alone(config, dropped, monkeyp
             # the 16 wires of the widest trial: 64 ticks per chunk
             patch.setattr(reference, "_CHUNK_SAMPLES", 1 << 10)
         if config == "threads":
-            patch.setattr(reference, "_PARALLEL_MIN", 1 << 12)
             patch.setattr(reference, "_WORKERS", 2)
             draw = WireBank.draw
 

@@ -437,7 +437,6 @@ def test_results_do_not_depend_on_the_chunk_size(data):
     for budget in (64, 128, 4096, 64 * -(-ticks // 64)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(reference, "_CHUNK_SAMPLES", budget * 2 * n_bits)
-            patch.setattr(reference, "_PARALLEL_MIN", 0)
             patch.setattr(reference, "_WORKERS", workers)
             results.append(chunked_results(*case))
     whole = results[-1]
