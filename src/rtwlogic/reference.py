@@ -9,6 +9,7 @@ exact integer arithmetic on these samples.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
@@ -145,13 +146,9 @@ class WireBank:
         return WireBank(planes, self.n_ticks)
 
     def string_planes(self, strings) -> np.ndarray:
-        """Sign planes of product strings, one row each: the XOR of the
-        plane each string selects per bit."""
+        """Sign planes of product strings, one row each: `gather_string_planes` of one bank."""
         strings = np.asarray(strings, dtype=np.int64)
-        out = np.take(self.planes[0], strings & 1, axis=0)  # a copy, also for one string
-        for bit in range(1, self.n_bits):
-            out ^= self.planes[bit, (strings >> bit) & 1]
-        return out
+        return gather_string_planes([(self, strings.ravel())]).reshape(*strings.shape, self.planes.shape[-1])
 
     def operators(self) -> np.ndarray:
         """Sign planes of the NOT operators, one row per bit.
@@ -203,6 +200,25 @@ class WireBank:
         return unpack_signs(planes, self.n_ticks)
 
 
+def gather_string_planes(pairs) -> np.ndarray:
+    """Sign planes of the product strings of `(bank, strings)` pairs of banks
+    of one tick count, one row per string in pair order: the XOR of the
+    planes it selects in its bank. Each bit is one gather for all rows."""
+    banks, strings = zip(*pairs)
+    if len(banks) == 1:  # the bank's own planes, not a copy
+        table, owner = banks[0].planes[None], 0
+    else:  # every bank's planes, zero-padded to the widest bank
+        table = np.zeros((len(banks), max(bank.n_bits for bank in banks), *banks[0].planes.shape[1:]), np.uint8)
+        for j, bank in enumerate(banks):
+            table[j, : bank.n_bits] = bank.planes
+        owner = np.repeat(np.arange(len(banks)), [len(part) for part in strings])
+    strings = np.concatenate([np.asarray(part, dtype=np.int64) for part in strings])
+    out = table[owner, 0, strings & 1]
+    for bit in range(1, table.shape[1]):
+        out ^= table[owner, bit, (strings >> bit) & 1]
+    return out
+
+
 def map_window(system: ReferenceSystem, window, consume) -> list:
     """`consume(lo, raw)` on every chunk of a window; the results in window
     order.
@@ -215,8 +231,8 @@ def map_window(system: ReferenceSystem, window, consume) -> list:
     effective wires builds them with `raw.apply(prog)`. Every sample is a
     pure function of (seed, wire, tick), so chunks may run in any order: a
     window of one chunk, or any window on one CPU, runs on the calling
-    thread, and a longer one on up to _WORKERS threads, which are all
-    joined before this returns, also when a chunk raised.
+    thread, and a longer one on up to _WORKERS threads, at most two chunks
+    a thread in flight, all joined before this returns, also on an error.
     """
     step = max(64, _CHUNK_SAMPLES // (2 * system.n_bits) // 64 * 64)
     starts = range(0, max(len(window), 1), step)
@@ -230,10 +246,17 @@ def map_window(system: ReferenceSystem, window, consume) -> list:
     # Imported here: it costs serial callers 5-10 ms of start-up.
     from concurrent.futures import ThreadPoolExecutor
 
-    # Leaving the block joins every thread; once a chunk's error is read,
-    # map cancels the chunks that have not started.
-    with ThreadPoolExecutor(workers, thread_name_prefix="rtwlogic-chunk") as pool:
-        return list(pool.map(run, starts))
+    # A slice of chunks at a time would idle a thread at each slice's end.
+    pool, results, pending = ThreadPoolExecutor(workers, thread_name_prefix="rtwlogic-chunk"), [], deque()
+    try:
+        for lo in starts:
+            pending.append(pool.submit(run, lo))
+            if len(pending) == 2 * workers:
+                results.append(pending.popleft().result())
+        results += [future.result() for future in pending]
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins every thread; after an error, cancels what has not started
+    return results
 
 
 def orthogonality_report(sys: ReferenceSystem, ticks: int) -> Report:

@@ -12,7 +12,7 @@ one pass over a system as wide as the widest trial, a trial of n bits on
 the first n bits' wires. Those are the wires of an n-bit system at that
 seed, so every result is the one its check gives alone. A chunk is first
 compared on packed sign planes, pattern against pattern or term against
-term; only a chunk where that does not prove the signals equal is
+term, a batch of cases at a time; only a case not proved equal there is
 evaluated as integers, so a first mismatch is always an integer one.
 """
 
@@ -34,8 +34,8 @@ from .compiler import (
     parse_circuit,
     random_cascade,
 )
-from .hyperspace import Superposition, oracle_apply, superposition_signal
-from .reference import DEFAULT_SEED, ReferenceSystem, WireBank, count_window, map_window
+from .hyperspace import _BLOCK_TICKS, Superposition, oracle_apply, superposition_signal
+from .reference import DEFAULT_SEED, ReferenceSystem, WireBank, count_window, gather_string_planes, map_window
 from .report import Report
 
 DEFAULT_TICKS = 1024
@@ -123,7 +123,9 @@ def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[Equivalen
     A case of n bits reads the first n bits' wires of each chunk, which are
     the wires of `ReferenceSystem(n, sys.seed)`: a stream key depends only
     on the seed and the channel. Before anything is drawn, a case is refused
-    whose three widths differ or exceed the system's.
+    whose three widths differ or exceed the system's. A chunk's cases go
+    in batches that fit 2N wire and 64 term planes a case into _BLOCK_TICKS
+    plane ticks (at least one case): memory is bounded by the chunk.
     """
     for prog, y, expected_y in cases:
         if not prog.n_bits == y.n_bits == expected_y.n_bits <= sys.n_bits:
@@ -132,9 +134,13 @@ def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[Equivalen
 
     def consume(lo: int, raw: WireBank) -> list:
         found = []
-        for prog, y, expected_y in cases:
-            case_raw = WireBank(raw.planes[: prog.n_bits], raw.n_ticks)
-            found.append(_first_mismatch(lo, case_raw, case_raw.apply(prog), y, expected_y))
+        per_batch = max(1, _BLOCK_TICKS // (raw.planes.shape[-1] * 8) // (2 * sys.n_bits + _TERMWISE_MAX_TERMS))
+        for batch in (cases[i : i + per_batch] for i in range(0, len(cases), per_batch)):
+            raws = [WireBank(raw.planes[: prog.n_bits], raw.n_ticks) for prog, _, _ in batch]
+            banks = [case_raw.apply(prog) for case_raw, (prog, _, _) in zip(raws, batch)]
+            equal = _equal_on_planes(raws, banks, batch)
+            for case_raw, bank, (_, y, expected_y), proved in zip(raws, banks, batch, equal):
+                found.append(None if proved else _first_mismatch(lo, case_raw, bank, y, expected_y))
         return found
 
     per_chunk = map_window(sys, count_window(ticks), consume)
@@ -145,20 +151,17 @@ def _first_mismatch(
     lo: int, raw: WireBank, bank: WireBank, y: Superposition, expected_y: Superposition
 ) -> tuple[int, int, int] | None:
     """First (tick, got, expected) of one chunk where the signal of `y` on
-    `bank` differs from that of `expected_y` on `raw`, or None; `lo` is the
-    chunk's first tick. Only a chunk whose planes do not prove the signals
-    equal is evaluated as integers."""
-    if _equal_on_planes(raw, bank, y, expected_y):
-        return None
+    `bank` differs from that of `expected_y` on `raw`, or None, from both
+    signals as integers; `lo` is the chunk's first tick."""
     transformed, expected = superposition_signal(bank, y), superposition_signal(raw, expected_y)
     mismatch = compare_signals(transformed, expected).first_mismatch
     return mismatch and (lo + mismatch[0], *mismatch[1:])
 
 
-def _equal_on_planes(raw: WireBank, bank: WireBank, y: Superposition, expected_y: Superposition) -> bool:
-    """Whether the sign planes prove the signal of `y` on `bank` equal to
-    that of `expected_y` on `raw` at every tick of the chunk; False where
-    they cannot tell.
+def _equal_on_planes(raws: list[WireBank], banks: list[WireBank], cases) -> list[bool]:
+    """Per case of a batch, whether the sign planes prove the signal of `y`
+    on its effective wires `bank` equal to that of `expected_y` on its raw
+    wires `raw` at every tick of the chunk; False where they cannot tell.
 
     Two patterns with k free bits each have signals of 0 or +-2^k: they
     differ where exactly one is zero, or where neither is and the signs
@@ -166,22 +169,32 @@ def _equal_on_planes(raw: WireBank, bank: WireBank, y: Superposition, expected_y
     are equal where their terms pair off, each pair with one coefficient
     and one sign plane. A correct program makes the effective product
     string of every s the raw product string of its image, so a compiled
-    circuit and its oracle image pair off term by term.
+    circuit and its oracle image pair off term by term. Each side counts
+    the (case, plane, coefficient) of the terms of all such cases at once.
     """
-    if y.is_pattern and expected_y.is_pattern:
-        if y.free_bit_count != expected_y.free_bit_count:
-            return False
-        zero_a, sign_a = bank.pattern_planes(y.allowed)
-        zero_b, sign_b = raw.pattern_planes(expected_y.allowed)
-        return not raw.count((zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b)))
-    if y.is_pattern or expected_y.is_pattern or not y.term_count == expected_y.term_count <= _TERMWISE_MAX_TERMS:
-        return False
+    equal = [False] * len(cases)
+    for i, (raw, bank, (_, y, expected_y)) in enumerate(zip(raws, banks, cases)):
+        if y.is_pattern and expected_y.is_pattern and y.free_bit_count == expected_y.free_bit_count:
+            zero_a, sign_a = bank.pattern_planes(y.allowed)
+            zero_b, sign_b = raw.pattern_planes(expected_y.allowed)
+            equal[i] = not raw.count((zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b)))
+        elif not (y.is_pattern or expected_y.is_pattern):
+            equal[i] = y.term_count == expected_y.term_count <= _TERMWISE_MAX_TERMS
+    termwise = [i for i, (_, y, _) in enumerate(cases) if equal[i] and not y.is_pattern]
 
-    def terms(wires: WireBank, sup: Superposition) -> Counter:
-        planes = wires.string_planes([s for s, _ in sup.terms])
-        return Counter(zip(map(bytes, planes), (c for _, c in sup.terms)))
+    def counted(side: int, wires: list[WireBank]) -> Counter:
+        pairs = [(wires[i], [s for s, _ in cases[i][side].terms]) for i in termwise]
+        data, width = gather_string_planes(pairs).tobytes(), wires[0].planes.shape[-1]  # planes freed here
+        rows = [data[k : k + width] for k in range(0, len(data), width)]
+        owners = [i for i in termwise for _ in cases[i][side].terms]
+        return Counter(zip(owners, rows, [c for i in termwise for _, c in cases[i][side].terms]))
 
-    return terms(bank, y) == terms(raw, expected_y)
+    if termwise:
+        # Both sides of a case count as many terms, so one lacks a term of
+        # the other exactly where the other lacks one of its own.
+        for i, _, _ in counted(1, banks) - counted(2, raws):
+            equal[i] = False
+    return equal
 
 
 def random_explicit(rng: random.Random, n_bits: int, max_terms: int) -> Superposition:
@@ -195,12 +208,20 @@ def random_explicit(rng: random.Random, n_bits: int, max_terms: int) -> Superpos
 
 @dataclass
 class TrialRecord:
-    """One random-equivalence trial and its outcome."""
+    """One random-equivalence trial and its outcome; texts render on read."""
 
-    circuit_text: str
-    superposition_text: str
+    circuit: GateCircuit
+    superposition: Superposition
     seed: int
     result: EquivalenceResult
+
+    @property
+    def circuit_text(self) -> str:
+        return self.circuit.to_text()
+
+    @property
+    def superposition_text(self) -> str:
+        return self.superposition.to_text()
 
     def to_dict(self) -> dict:
         return {
@@ -248,13 +269,13 @@ def random_equivalence_trials(
     """Check `n_trials` random (circuit, superposition) pairs under each
     reference seed.
 
-    Every input is drawn first, and each trial is compiled, oracle-mapped
-    and rendered once. Then all trials of a seed are checked in one pass
-    over the wires of a system as wide as the widest trial (see
-    `_bank_equivalence`). A trial of n bits reads exactly the wires of
-    `ReferenceSystem(n, seed)`, so each record is the result of
-    `signal_equivalence_check` on that system and replays alone from its
-    seed and texts.
+    Every input is drawn first, and each trial is compiled and
+    oracle-mapped once; a record renders its texts only when they are
+    read. Then all trials of a seed are checked in one pass over the wires
+    of a system as wide as the widest trial (see `_bank_equivalence`). A
+    trial of n bits reads exactly the wires of `ReferenceSystem(n, seed)`,
+    so each record is the result of `signal_equivalence_check` on that
+    system and replays alone from its seed and texts.
     """
     _check_int(n_trials, "n_trials", 1)
     _check_int(len(seeds), "the number of seeds", 1)
@@ -268,9 +289,8 @@ def random_equivalence_trials(
     cases = [_oracle_case(circ, y) for circ, y in trials]
     width = max(y.n_bits for _, y in trials)
     results = [_bank_equivalence(ReferenceSystem(width, seed), cases, ticks) for seed in seeds]
-    texts = [(circ.to_text(), y.to_text()) for circ, y in trials]
     return TrialsReport(
-        [TrialRecord(*texts[i], seed, per_seed[i]) for i in range(n_trials) for seed, per_seed in zip(seeds, results)]
+        [TrialRecord(*trials[i], seed, per_seed[i]) for i in range(n_trials) for seed, per_seed in zip(seeds, results)]
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommand contracts, formats, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -265,6 +266,43 @@ def test_usage_errors_exit_with_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+def test_the_parser_is_built_once_and_parses_like_a_new_one(capsys, monkeypatch):
+    # The same calls through the one cached parser and through a parser
+    # built per call: the same exit codes, stdout and stderr, a usage error
+    # included; --random-seed draws a new seed on every call, and a later
+    # call without it prints none.
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["verify", "--suite", "random", "--trials", "3", "--ticks", "128"],
+        ["verify", "--suite", "bogus"],
+        ["verify", "--suite", "figures", "--ticks", "64"],
+        ["stats", "--n", "2", "--ticks", "256"],
+        ["verify", "--suite", "random", "--trials", "2", "--ticks", "64", "--random-seed"],
+        ["verify", "--suite", "random", "--trials", "2", "--ticks", "64", "--random-seed"],
+        ["verify", "--suite", "random", "--trials", "2", "--ticks", "64"],
+    ]
+
+    def outcomes() -> tuple[list, list[str]]:
+        seen, seeds = [], []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            seeds += re.findall(r"^seed: (\d+)$", out, flags=re.M)
+            seen.append((code, re.sub(r"^seed: \d+$", "seed: N", out, flags=re.M), err))
+        return seen, seeds
+
+    cached, cached_seeds = outcomes()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh, fresh_seeds = outcomes()
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0, 0, 0, 0] and "invalid choice" in cached[1][2]
+    for seeds in (cached_seeds, fresh_seeds):
+        assert len(seeds) == 2 and seeds[0] != seeds[1]
 
 
 def test_console_entry_point_runs():

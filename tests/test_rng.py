@@ -6,6 +6,7 @@ import multiprocessing
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,32 @@ def test_a_failing_worker_fails_the_draw_after_every_worker_ends(monkeypatch):
     with pytest.raises(RuntimeError, match="worker failed"):
         window_planes(system, ticks)
     assert 2 <= len(calls) < 40 and len(finished) == len(calls) - 1
+    assert _chunk_threads() == []
+
+
+def test_a_threaded_window_holds_a_bounded_number_of_chunks(monkeypatch):
+    # Chunks of 64 ticks on two workers: 4096 chunks must peak within 64 KB
+    # of 64 chunks, so the work submitted and not yet read does not grow
+    # with the chunk count (the results, one None per chunk, take 32 KB).
+    system = ReferenceSystem(1, 7)
+    monkeypatch.setattr(reference, "_CHUNK_SAMPLES", 64 * 2 * system.n_bits)
+    monkeypatch.setattr(reference, "_WORKERS", 2)
+    names = set()
+
+    def consume(lo: int, raw: WireBank) -> None:
+        names.add(threading.current_thread().name)
+
+    map_window(system, range(64 * 64), consume)
+    peaks = {}
+    for chunks in (64, 4096):
+        tracemalloc.start()
+        try:
+            assert map_window(system, range(64 * chunks), consume) == [None] * chunks
+            peaks[chunks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4096] - peaks[64] < 64 << 10, peaks
+    assert len(names) <= 2 and all(name.startswith("rtwlogic-chunk") for name in names), names
     assert _chunk_threads() == []
 
 

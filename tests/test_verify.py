@@ -3,9 +3,12 @@ oracle, universe invariance, and the canonical circuit suite."""
 
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rtwlogic import reference, verify
 from rtwlogic.compiler import (
@@ -168,6 +171,101 @@ def test_termwise_compare_matches_the_int64_compare():
         assert got.to_dict() == want.to_dict(), case
         outcomes.append(got.passed)
     assert all(outcomes[::4]) and 100 <= outcomes.count(False) <= 225
+
+
+def integer_result(case, seed: int, ticks: int) -> EquivalenceResult:
+    """A case's result from its own system, both signals as integers."""
+    prog, y, expected_y = case
+    raw = WireBank.draw(ReferenceSystem(prog.n_bits, seed), tick_range(ticks))
+    return compare_signals(superposition_signal(raw.apply(prog), y), superposition_signal(raw, expected_y))
+
+
+def mixed_case(kind: str, n_bits: int, terms: int, seed: int):
+    """One `(prog, y, expected_y)` case of the given kind and width, with
+    up to `terms` terms where it is an explicit sum."""
+    rng = random.Random(seed)
+    circuit = random_cascade(rng, n_bits, rng.randint(0, 8), not_rate=0.3)
+    if kind == "pattern":
+        free = rng.randint(0, n_bits)
+        triples = [(rng.randrange(n_bits), rng.randint(0, 1), rng.randrange(n_bits)) for _ in range(3)]
+        prog = InsertionProgram.from_pairs(n_bits, triples[: rng.randint(0, 3)])
+        return prog, random_pattern(rng, n_bits, free), random_pattern(rng, n_bits, rng.choice((free, n_bits - free)))
+    if kind == "pattern image":  # a pattern against its explicit image
+        return verify._oracle_case(circuit, random_pattern(rng, n_bits, rng.randint(0, min(n_bits, 5))))
+    prog, y, expected_y = verify._oracle_case(circuit, random_sum(rng, n_bits, terms))
+    if kind == "dropped" and prog.insertions:
+        prog = InsertionProgram(n_bits, prog.sorted_insertions()[1:])
+    elif kind == "coefficient" and expected_y.terms:
+        s, c = rng.choice(expected_y.terms)
+        expected_y = expected_y + Superposition.explicit(n_bits, {s: rng.choice((-1, 1))})
+    return prog, y, expected_y
+
+
+KINDS = ("oracle", "dropped", "coefficient", "pattern", "pattern image")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.sampled_from(KINDS), st.integers(1, 8), st.integers(0, 70), st.integers(0, 2**32)),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**64 - 1),
+    ticks=st.integers(1, 3 * 64),
+    budget=st.integers(1, 400),
+)
+@example(
+    specs=[("oracle", 8, 70, 1), ("oracle", 3, 0, 2), ("dropped", 8, 65, 3), ("pattern", 4, 0, 4), ("oracle", 1, 1, 5)],
+    seed=11,
+    ticks=150,
+    budget=20,
+)
+def test_batched_proof_matches_each_integer_comparison(specs, seed, ticks, budget):
+    # Patterns, explicit sums of 0-70 terms (the empty sum, and more terms
+    # than the term-by-term proof takes), oracle images, mutants with one
+    # insertion dropped or one coefficient moved, widths 1-8, on a window
+    # of 1-3 chunks of 64 ticks, in batches of 1-6 cases:
+    # every result, first mismatch included, is the one the case's own
+    # integer comparison gives, and an oracle image of at most 64 terms is
+    # proved on planes, never evaluated as integers.
+    cases = [mixed_case(*spec) for spec in specs]
+    width = max(prog.n_bits for prog, _, _ in cases)
+    evaluated = []
+    first_mismatch = verify._first_mismatch
+
+    def integer_path(lo, raw, bank, y, expected_y):
+        evaluated.append(y)
+        return first_mismatch(lo, raw, bank, y, expected_y)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference, "_CHUNK_SAMPLES", 64 * 2 * width)
+        patch.setattr(verify, "_BLOCK_TICKS", 64 * budget)
+        patch.setattr(verify, "_first_mismatch", integer_path)
+        got = _bank_equivalence(ReferenceSystem(width, seed), cases, ticks)
+    assert got == [integer_result(case, seed, ticks) for case in cases]
+    termwise = [y for (kind, *_), (_, y, _) in zip(specs, cases) if kind == "oracle" and y.term_count <= 64]
+    assert not any(y is proved for y in evaluated for proved in termwise)
+
+
+def test_equivalence_memory_is_bounded_by_the_batch_not_the_case_count():
+    # A window of 2^18 ticks of 8 bits is one chunk, and every case of
+    # 32 terms a batch of its own: 40 cases peak less than one batch
+    # budget (512 KiB of planes) plus 10% above 5 cases.
+    rng = random.Random(18)
+    cases = [verify._oracle_case(random_cascade(rng, 8, 8, not_rate=0.2), random_sum(rng, 8, 32)) for _ in range(40)]
+    system, ticks = ReferenceSystem(8, 1), 1 << 18
+    _bank_equivalence(system, cases[:1], ticks)
+    peaks = {}
+    for count in (5, 40):
+        tracemalloc.start()
+        try:
+            results = _bank_equivalence(system, cases[:count], ticks)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == count and all(r.passed for r in results)
+    assert peaks[40] - peaks[5] < verify._BLOCK_TICKS // 8 * 1.1, peaks
 
 
 def test_cases_checked_together_match_each_checked_alone(monkeypatch):

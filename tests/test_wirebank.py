@@ -153,6 +153,27 @@ def test_bank_matches_the_int8_reference(case):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
+def test_strings_of_many_banks_are_gathered_like_each_alone(data):
+    # Banks of 1-8 bits on one window, raw or under a program, each with
+    # 0-6 strings: every row is the XOR of the planes its string selects
+    # in its own bank, in pair order, as one string on one bank gives it.
+    ticks = data.draw(windows().filter(lambda w: not np.isscalar(w)))
+    pairs, rows = [], []
+    for _ in range(data.draw(st.integers(1, 5))):
+        n_bits = data.draw(st.integers(1, 8))
+        bank = WireBank.draw(ReferenceSystem(n_bits, data.draw(st.integers(0, 2**64 - 1))), ticks)
+        bank = bank.apply(compile_circuit(data.draw(circuits(n_bits))))
+        strings = data.draw(st.lists(st.integers(0, (1 << n_bits) - 1), max_size=6))
+        pairs.append((bank, strings))
+        for s in strings:
+            rows.append(np.bitwise_xor.reduce([bank.planes[bit, (s >> bit) & 1] for bit in range(n_bits)]))
+            assert np.array_equal(bank.string_planes(s), rows[-1])
+    got = reference.gather_string_planes(pairs)
+    assert np.array_equal(got, np.array(rows, dtype=np.uint8).reshape(len(rows), got.shape[-1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
 def test_spectral_evaluator_agrees_at_every_split(data):
     """The private low-bit count K pins the split: K = 0 (one term per
     group), a middle value, and the largest allowed (N up to 16)."""
