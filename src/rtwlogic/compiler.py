@@ -82,9 +82,6 @@ class GateCircuit:
                 s ^= 1 << g.target
         return s
 
-    def __add__(self, other: "GateCircuit") -> "GateCircuit":
-        return GateCircuit(max(self.n_bits, other.n_bits), self.gates + other.gates)
-
     @property
     def is_pure_cnot(self) -> bool:
         return all(g.control is not None for g in self.gates)

@@ -83,7 +83,7 @@ class ReferenceSystem:
         _check_int(bit, "bit index", 0, self.n_bits)
         _check_int(value, "bit value", 0, 2)
         window, scalar = as_window(ticks)
-        out = coin_flips(stream_key(self.seed, 2 * bit + value), window)
+        out = coin_flips(self.keys[2 * bit + value], window)
         return int(out[0]) if scalar else out
 
     @cached_property
@@ -173,18 +173,15 @@ class WireBank:
     def pattern_planes(self, allowed) -> tuple[np.ndarray, np.ndarray]:
         """Zero and sign planes of a pattern with per-bit allowed values.
 
-        A free bit's wire sum is 0 where its two wires differ and otherwise
-        twice either wire, so the pattern's signal is 0 where any free bit's
-        wires differ and +-2^k elsewhere, with the sign of the product of
-        one wire per bit.
+        A free bit's wire sum is 0 where its two wires differ, that is where
+        its NOT operator is -1, and otherwise twice either wire. So the
+        pattern's signal is 0 where any free bit's operator is -1 and +-2^k
+        elsewhere, with the sign of the product-string plane of the
+        pattern's lowest string, which takes each bit's first allowed value.
         """
-        zero = np.zeros(self.planes.shape[-1], dtype=np.uint8)
-        sign = zero.copy()
-        for bit, vals in enumerate(allowed):
-            sign ^= self.planes[bit, vals[0]]
-            if len(vals) == 2:
-                zero |= self.planes[bit, 0] ^ self.planes[bit, 1]
-        return zero, sign
+        free = [bit for bit, vals in enumerate(allowed) if len(vals) == 2]
+        lowest = sum(vals[0] << bit for bit, vals in enumerate(allowed))
+        return np.bitwise_or.reduce(self.operators()[free], axis=0), self.string_planes(lowest)
 
     def count(self, planes: np.ndarray):
         """Set bits (-1 samples) per plane along the last axis; the zero
@@ -296,5 +293,5 @@ def orthogonality_report(sys: ReferenceSystem, ticks: int) -> Report:
             entries.append(StatEntry(f"mean[W{wa}*W{wb}]", mean(), 0.0, tol, ticks))
             entries.append(StatEntry(f"corr[W{wa}*W{wb}, W{wa}]", mean(), 0.0, tol, ticks))
             entries.append(StatEntry(f"corr[W{wa}*W{wb}, W{wb}]", mean(), 0.0, tol, ticks))
-    footer = f"{{count}} estimators over {len(wires)} wires, {{failed}} outside tolerance"
-    return Report(entries, footer)
+    failed = sum(not e.passed for e in entries)
+    return Report(entries, f"{len(entries)} estimators over {len(wires)} wires, {failed} outside tolerance")

@@ -39,10 +39,8 @@ class StatEntry:
 @dataclass
 class Report:
     """Named entries (each with `name`, `passed`, `to_dict` and `line`);
-    passes iff every entry passes.
-
-    `footer`, when set, is printed after the entries with `{count}` and
-    `{failed}` filled in.
+    passes iff every entry passes; `footer`, when set, is printed after
+    the entries as it is.
     """
 
     entries: list = field(default_factory=list)
@@ -67,5 +65,5 @@ class Report:
     def lines(self) -> list[str]:
         out = [f"[{'ok ' if e.passed else 'FAIL'}] {e.line()}" for e in self.entries]
         if self.footer:
-            out.append(self.footer.format(count=len(self.entries), failed=len(self.failures())))
+            out.append(self.footer)
         return out

@@ -10,8 +10,9 @@ driver in `reference` runs chunks of a long window on threads.
 The vector kernel, `sign_planes`, hashes a window in cache-sized tiles of
 whole 64-tick words. A short window is one tile of all its streams. A
 longer one is hashed stream-major: each tile is a run of one stream's
-ticks, so its counters are one contiguous add of a scalar offset and its
-compare, pack and copy into the output row are contiguous as well.
+ticks. The counters of a range tile, of any shape, are one contiguous add
+of one offset per stream, and its compare, pack and copy into the output
+rows are contiguous as well.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ def sign_planes(keys, ticks) -> np.ndarray:
     no mask. Each hash is computed once, in place, over tiles of whole
     64-tick words small enough to stay in cache (see `_tile_shape`). A
     window longer than one tile is hashed stream-major: a tile is a run of
-    one stream's ticks, so its counters are one contiguous add of a scalar
-    and its compare, pack and copy into the result are contiguous too. The
-    result and the two-tile scratch are allocated per call; the scratch is
-    freed when this returns.
+    one stream's ticks. A range tile's counters are one contiguous add of
+    one offset per stream, and its compare, pack and copy into the result
+    are contiguous too. The result and the two-tile scratch are allocated
+    per call; the scratch is freed when this returns.
     """
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
     n_keys, n = keys.shape[0], len(ticks)
@@ -119,23 +120,17 @@ def sign_planes(keys, ticks) -> np.ndarray:
     rows, cols = _tile_shape(n_keys, n)
     h, tmp = np.empty((2, rows, cols), dtype=np.uint64)
     if isinstance(ticks, range):
-        # At tick start + lo + j the hash input is (key + G * (start + lo)) + G * j.
+        # At tick start + lo + j the hash input is (key + G * start) + G * lo + G * j.
         steps = np.arange(min(cols, n), dtype=np.uint64)
         steps *= _GOLDEN_U64
-        if rows == 1:
-            # Python ints: the offset of a one-stream tile is a scalar.
-            firsts = [key + _GOLDEN * ticks.start for key in keys.ravel().tolist()]
-        else:
-            # A tile of several streams spans the whole window, so lo is 0.
-            firsts = keys + np.uint64(_GOLDEN * ticks.start & _MASK64)
+        firsts = keys + np.uint64(_GOLDEN * ticks.start & _MASK64)
     for r0 in range(0, n_keys, rows):
         r1 = min(n_keys, r0 + rows)
         for lo in range(0, n, cols):
             hi = min(n, lo + cols)
             hs, ts = h[: r1 - r0, : hi - lo], tmp[: r1 - r0, : hi - lo]
             if isinstance(ticks, range):
-                offset = (firsts[r0] + _GOLDEN * lo) & _MASK64 if rows == 1 else firsts[r0:r1]
-                np.add(steps[: hi - lo], offset, out=hs)
+                np.add(steps[: hi - lo], firsts[r0:r1] + np.uint64(_GOLDEN * lo & _MASK64), out=hs)
             else:
                 np.multiply(ticks[lo:hi], _GOLDEN_U64, out=ts[0])
                 np.add(keys[r0:r1], ts[0], out=hs)

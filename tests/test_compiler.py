@@ -196,7 +196,7 @@ def test_apply_cnot_truth_table():
 def test_circuit_concatenation_applies_left_then_right():
     left = GateCircuit(2, (not_gate(0),))
     right = GateCircuit(2, (cnot(0, 1),))
-    combined = left + right
+    combined = GateCircuit(2, left.gates + right.gates)
     for s in range(4):
         assert combined.apply(s) == right.apply(left.apply(s))
 
@@ -327,7 +327,7 @@ def test_compiled_program_reconstructs_the_affine_map(circ):
 @settings(max_examples=100, deadline=None)
 @given(circuits(max_gates=4))
 def test_doubling_a_circuit_matches_applying_it_twice(circ):
-    amap = circuit_to_affine(circ + circ)
+    amap = circuit_to_affine(GateCircuit(circ.n_bits, circ.gates * 2))
     for s in range(1 << circ.n_bits):
         assert amap.apply(s) == circ.apply(circ.apply(s))
 

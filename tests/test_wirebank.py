@@ -172,6 +172,40 @@ def test_strings_of_many_banks_are_gathered_like_each_alone(data):
     assert np.array_equal(got, np.array(rows, dtype=np.uint8).reshape(len(rows), got.shape[-1]))
 
 
+def per_bit_pattern_planes(bank: WireBank, allowed) -> tuple[np.ndarray, np.ndarray]:
+    """Zero and sign planes of a pattern built one bit at a time: the OR of
+    each free bit's wire XOR, and the XOR of each bit's first allowed wire."""
+    zero = np.zeros(bank.planes.shape[-1], dtype=np.uint8)
+    sign = zero.copy()
+    for bit, vals in enumerate(allowed):
+        sign ^= bank.planes[bit, vals[0]]
+        if len(vals) == 2:
+            zero |= bank.planes[bit, 0] ^ bank.planes[bit, 1]
+    return zero, sign
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pattern_planes_match_the_per_bit_construction(data):
+    # Patterns with no free bit, some free bits, or every bit free, on
+    # effective wires over windows that are empty, shorter than one word or
+    # ragged at 64 ticks; the padding bits of both planes read zero.
+    n_bits = data.draw(st.integers(1, MAX_BITS))
+    kind = data.draw(st.sampled_from(["fixed", "mixed", "universe"]))
+    values = {"fixed": [(0,), (1,)], "mixed": [(0,), (1,), (0, 1)], "universe": [(0, 1)]}[kind]
+    allowed = data.draw(st.lists(st.sampled_from(values), min_size=n_bits, max_size=n_bits))
+    start = data.draw(st.integers(0, 2**64 - 200))
+    length = data.draw(st.one_of(st.sampled_from([0, 1, 7, 63, 64, 65, 127, 128, 129]), st.integers(0, 200)))
+    bank = WireBank.draw(ReferenceSystem(n_bits, data.draw(st.integers(0, 2**64 - 1))), range(start, start + length))
+    bank = bank.apply(compile_circuit(data.draw(circuits(n_bits))))
+    zero, sign = bank.pattern_planes(allowed)
+    want_zero, want_sign = per_bit_pattern_planes(bank, allowed)
+    assert zero.dtype == sign.dtype == np.uint8 and zero.shape == sign.shape == want_zero.shape
+    assert np.array_equal(zero, want_zero) and np.array_equal(sign, want_sign)
+    padding = np.unpackbits(np.stack([zero, sign]), axis=-1, bitorder="little")[:, length:]
+    assert not padding.any()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_spectral_evaluator_agrees_at_every_split(data):
