@@ -20,7 +20,6 @@ leftmost character is bit 0.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -69,23 +68,24 @@ class Superposition:
     """Integer-coefficient sum of product strings over n_bits.
 
     Exactly one of `terms` (explicit form: (string, coefficient) pairs) and
-    `allowed` (pattern form: per-bit allowed values, each (0,), (1,) or
-    (0, 1) in any order) is given. The constructor merges repeated strings,
-    drops zero coefficients and stores the pairs sorted by string, so equal
-    sums compare and hash equal however they were written. A pattern
-    denotes the coefficient-1 sum over the Cartesian product of its allowed
-    values; all-(0, 1) is the universe. Values are immutable after
-    construction.
+    `offset` (pattern form) is given. The constructor merges repeated
+    strings, drops zero coefficients and stores the pairs sorted by string,
+    so equal sums compare and hash equal however they were written. A
+    pattern is two masks: `offset`, its lowest string, and `free`, its free
+    bits. It denotes the coefficient-1 sum over `offset | f` for every
+    submask f of `free`; with every bit free it is the universe. Values are
+    immutable after construction.
     """
 
     n_bits: int
     terms: tuple[tuple[int, int], ...] | None = None
-    allowed: tuple[tuple[int, ...], ...] | None = None
+    offset: int | None = None
+    free: int = 0
 
     def __post_init__(self) -> None:
         _check_int(self.n_bits, "n_bits", 1)
-        if (self.terms is None) == (self.allowed is None):
-            raise ValueError("exactly one of terms/allowed must be given")
+        if (self.terms is None) == (self.offset is None) or (self.terms is not None and self.free):
+            raise ValueError("exactly one of terms/offset must be given, and free bits only with an offset")
         if self.terms is not None:
             merged: dict[int, int] = {}
             for s, c in self.terms:
@@ -98,16 +98,11 @@ class Superposition:
                 raise ValueError("coefficient magnitudes exceed the exact-arithmetic budget")
             object.__setattr__(self, "terms", tuple(sorted((s, c) for s, c in merged.items() if c)))
             return
-        allowed = []
-        for vals in self.allowed:
-            for value in vals:
-                _check_int(value, "allowed value")
-            allowed.append(tuple(sorted(set(vals))))
-            if allowed[-1] not in ((0,), (1,), (0, 1)):
-                raise ValueError(f"bad allowed-value set {vals!r}")
-        if len(allowed) != self.n_bits:
-            raise ValueError(f"pattern needs {self.n_bits} entries, got {len(allowed)}")
-        object.__setattr__(self, "allowed", tuple(allowed))
+        for name in ("offset", "free"):
+            _check_int(getattr(self, name), f"pattern {name}", 0, 1 << self.n_bits)
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.offset & self.free:
+            raise ValueError(f"pattern offset {self.offset:#b} sets free bits {self.free:#b}")
 
     @classmethod
     def explicit(cls, n_bits: int, coefficients) -> "Superposition":
@@ -122,45 +117,43 @@ class Superposition:
 
     @classmethod
     def pattern(cls, allowed) -> "Superposition":
+        """Pattern from bit i's allowed values, (0,), (1,) or (0, 1) in any order."""
         allowed = tuple(allowed)
-        return cls(len(allowed), allowed=allowed)
+        offset = free = 0
+        for bit, vals in enumerate(allowed):
+            for value in vals:
+                _check_int(value, "allowed value")
+            if set(vals) not in ({0}, {1}, {0, 1}):
+                raise ValueError(f"bad allowed-value set {vals!r}")
+            offset |= int(min(vals)) << bit
+            free |= int(max(vals) - min(vals)) << bit
+        return cls(len(allowed), offset=offset, free=free)
 
     @classmethod
     def universe(cls, n_bits: int) -> "Superposition":
         """The coefficient-1 sum of all 2^n_bits product strings."""
-        return cls(n_bits, allowed=tuple((0, 1) for _ in range(n_bits)))
+        return cls(n_bits, offset=0, free=(1 << n_bits) - 1)
 
     @property
     def is_pattern(self) -> bool:
-        return self.allowed is not None
+        return self.offset is not None
 
     @property
     def term_count(self) -> int:
-        if self.terms is not None:
-            return len(self.terms)
-        count = 1
-        for vals in self.allowed:
-            count *= len(vals)
-        return count
+        return 1 << self.free.bit_count() if self.terms is None else len(self.terms)
 
     @property
     def free_bit_count(self) -> int:
         """Number of pattern bits allowing both values."""
-        if self.allowed is None:
+        if self.terms is not None:
             raise ValueError("free bits are defined for pattern superpositions only")
-        return sum(1 for vals in self.allowed if len(vals) == 2)
+        return self.free.bit_count()
 
     def coefficient(self, string: int) -> int:
         _check_string(string, self.n_bits)
-        if self.terms is not None:
-            for s, c in self.terms:
-                if s == string:
-                    return c
-            return 0
-        for i, vals in enumerate(self.allowed):
-            if ((string >> i) & 1) not in vals:
-                return 0
-        return 1
+        if self.terms is None:
+            return int(not (int(string) ^ self.offset) & ~self.free)
+        return dict(self.terms).get(string, 0)
 
     def abs_coeff_sum(self) -> int:
         if self.terms is not None:
@@ -180,9 +173,10 @@ class Superposition:
             raise ExpansionBudgetError(
                 f"pattern expands to {self.term_count} strings, budget is {budget}"
             )
-        strings = []
-        for choice in itertools.product(*self.allowed):
-            strings.append(sum(bit << i for i, bit in enumerate(choice)))
+        strings = [self.offset]
+        for bit in range(self.n_bits):
+            if self.free >> bit & 1:
+                strings += [s | 1 << bit for s in strings]
         return Superposition.from_strings(self.n_bits, strings)
 
     def __add__(self, other: "Superposition") -> "Superposition":
@@ -193,10 +187,10 @@ class Superposition:
 
     def to_text(self) -> str:
         """Render in the text format accepted by parse_superposition."""
-        if self.allowed is not None:
-            if all(len(v) == 2 for v in self.allowed):
+        if self.terms is None:
+            if self.free == (1 << self.n_bits) - 1:
                 return "universe"
-            return "".join("*" if len(v) == 2 else str(v[0]) for v in self.allowed)
+            return "".join("*" if self.free >> i & 1 else str(self.offset >> i & 1) for i in range(self.n_bits))
         chunks = []
         # The empty sum is written as one term with coefficient 0.
         for s, c in self.terms or ((0, 0),):
@@ -237,7 +231,8 @@ def parse_superposition(text: str, n_bits: int | None = None) -> Superposition:
             hint = f"; a one-term list is written {spec + ';'!r}" if as_term else ""
             raise ValueError(f"spec {spec!r} has {len(spec)} bits, expected {n_bits}{hint}")
         if "*" in spec:
-            return Superposition.pattern(tuple((0, 1) if ch == "*" else (int(ch),) for ch in spec))
+            free = parse_bits(spec.replace("1", "0").replace("*", "1"))
+            return Superposition(len(spec), offset=parse_bits(spec.replace("*", "0")), free=free)
         return Superposition.explicit(len(spec), {parse_bits(spec): 1})
     pairs = []
     width = n_bits
@@ -261,16 +256,10 @@ def parse_superposition(text: str, n_bits: int | None = None) -> Superposition:
 
 
 def product_string_sample(sys: ReferenceSystem, prog: InsertionProgram | None, string: int, ticks):
-    """+-1 signal of one product string under an insertion program."""
-    _check_string(string, sys.n_bits)
-    window, scalar = as_window(ticks)
-    out = np.empty(len(window), dtype=np.int8)
-
-    def consume(lo: int, raw: WireBank) -> None:
-        out[lo : lo + raw.n_ticks] = raw.signs(raw.apply(prog).string_planes(string))
-
-    map_window(sys, window, consume)
-    return int(out[0]) if scalar else out
+    """+-1 signal of one product string under an insertion program: the
+    signal of the one-term sum of that string, as int8."""
+    signal = superposition_sample(sys, prog, Superposition.explicit(sys.n_bits, {string: 1}), ticks)
+    return signal if isinstance(signal, int) else signal.astype(np.int8)
 
 
 def superposition_sample(sys: ReferenceSystem, prog: InsertionProgram | None, y: Superposition, ticks):
@@ -309,7 +298,7 @@ def superposition_signal(bank: WireBank, y: Superposition, out: np.ndarray | Non
     if out is None:
         out = np.empty(bank.n_ticks, dtype=np.int64)
     if y.is_pattern:
-        zero, sign = bank.pattern_planes(y.allowed)
+        zero, sign = bank.pattern_planes(y.offset, y.free)
         magnitude = 1 << y.free_bit_count
         # Indexed by sign bit + 2 * zero bit.
         levels = np.array([magnitude, -magnitude, 0, 0], dtype=np.int64)
@@ -368,7 +357,7 @@ def _correlation(bank: WireBank, y: Superposition, probe_plane: np.ndarray, low_
     _check_width(y, bank.n_bits)
     ticks = bank.n_ticks
     if y.is_pattern:
-        zero, sign = bank.pattern_planes(y.allowed)
+        zero, sign = bank.pattern_planes(y.offset, y.free)
         differ = sign ^ probe_plane
         # Where the signal is nonzero it is +-2^k: + where the signs agree.
         nonzero = ticks - int(bank.count(zero))
@@ -518,7 +507,7 @@ def zero_fraction(sys: ReferenceSystem, y: Superposition, ticks: int) -> Report:
     _check_width(y, sys.n_bits)
 
     def consume(lo: int, raw: WireBank) -> int:
-        return int(raw.count(raw.pattern_planes(y.allowed)[0]))
+        return int(raw.count(raw.pattern_planes(y.offset, y.free)[0]))
 
     fraction = sum(map_window(sys, count_window(ticks), consume)) / ticks
     k = y.free_bit_count

@@ -42,7 +42,7 @@ def as_window(ticks) -> tuple[range | np.ndarray, bool]:
     arr = np.atleast_1d(np.asarray(ticks))
     if arr.ndim > 1:
         raise ValueError(f"ticks must be a scalar or one-dimensional, got shape {arr.shape}")
-    if arr.dtype.kind not in "iu":
+    if arr.size and arr.dtype.kind not in "iu":  # an empty list is float64
         raise ValueError(f"ticks must be integers, got dtype {arr.dtype}")
     if arr.dtype.kind == "i" and arr.size and int(arr.min()) < 0:
         raise ValueError("ticks must be non-negative")
@@ -170,18 +170,17 @@ class WireBank:
             out |= np.left_shift(self.bits(plane), bit, dtype=np.uint16)
         return out
 
-    def pattern_planes(self, allowed) -> tuple[np.ndarray, np.ndarray]:
-        """Zero and sign planes of a pattern with per-bit allowed values.
+    def pattern_planes(self, offset: int, free: int) -> tuple[np.ndarray, np.ndarray]:
+        """Zero and sign planes of the pattern with lowest string `offset`
+        and free-bit mask `free`.
 
         A free bit's wire sum is 0 where its two wires differ, that is where
         its NOT operator is -1, and otherwise twice either wire. So the
         pattern's signal is 0 where any free bit's operator is -1 and +-2^k
-        elsewhere, with the sign of the product-string plane of the
-        pattern's lowest string, which takes each bit's first allowed value.
+        elsewhere, with the sign of the product-string plane of `offset`.
         """
-        free = [bit for bit, vals in enumerate(allowed) if len(vals) == 2]
-        lowest = sum(vals[0] << bit for bit, vals in enumerate(allowed))
-        return np.bitwise_or.reduce(self.operators()[free], axis=0), self.string_planes(lowest)
+        free_bits = [bit for bit in range(self.n_bits) if free >> bit & 1]
+        return np.bitwise_or.reduce(self.operators()[free_bits], axis=0), self.string_planes(offset)
 
     def count(self, planes: np.ndarray):
         """Set bits (-1 samples) per plane along the last axis; the zero
@@ -210,9 +209,10 @@ def gather_string_planes(pairs) -> np.ndarray:
             table[j, : bank.n_bits] = bank.planes
         owner = np.repeat(np.arange(len(banks)), [len(part) for part in strings])
     strings = np.concatenate([np.asarray(part, dtype=np.int64) for part in strings])
-    out = table[owner, 0, strings & 1]
+    select = (strings[:, None] >> np.arange(table.shape[1])) & 1
+    out = table[owner, 0, select[:, 0]]
     for bit in range(1, table.shape[1]):
-        out ^= table[owner, bit, (strings >> bit) & 1]
+        out ^= table[owner, bit, select[:, bit]]
     return out
 
 

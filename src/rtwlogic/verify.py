@@ -175,8 +175,8 @@ def _equal_on_planes(raws: list[WireBank], banks: list[WireBank], cases) -> list
     equal = [False] * len(cases)
     for i, (raw, bank, (_, y, expected_y)) in enumerate(zip(raws, banks, cases)):
         if y.is_pattern and expected_y.is_pattern and y.free_bit_count == expected_y.free_bit_count:
-            zero_a, sign_a = bank.pattern_planes(y.allowed)
-            zero_b, sign_b = raw.pattern_planes(expected_y.allowed)
+            zero_a, sign_a = bank.pattern_planes(y.offset, y.free)
+            zero_b, sign_b = raw.pattern_planes(expected_y.offset, expected_y.free)
             equal[i] = not raw.count((zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b)))
         elif not (y.is_pattern or expected_y.is_pattern):
             equal[i] = y.term_count == expected_y.term_count <= _TERMWISE_MAX_TERMS

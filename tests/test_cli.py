@@ -125,6 +125,18 @@ def test_simulate_writes_the_same_csv_in_any_row_chunks(rows, tmp_path, capsys, 
             assert out_path.read_bytes() == want.encode(), (window, fmt)
 
 
+def test_a_spec_that_begins_with_a_minus_is_passed_after_an_equals_sign(tmp_path, capsys):
+    out_path = tmp_path / "trace.csv"
+    argv = ["simulate", "--n", "3", "--seed", "5", "--ticks", "16", "--out", str(out_path)]
+    assert run([*argv, "--superposition=-1*011;101"], capsys)[0] == 0
+    signal = superposition_sample(ReferenceSystem(3, 5), None, parse_superposition("-1*011;101"), tick_range(16))
+    assert out_path.read_text() == "".join(["tick,signal\n", *(f"{t},{v}\n" for t, v in enumerate(signal.tolist()))])
+    # Without the "=" argparse reads the spec as an option.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--superposition", "-1*011;101"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+
+
 def test_simulate_unwritable_output_is_a_usage_error(tmp_path, capsys):
     out_path = tmp_path / "missing" / "trace.csv"
     argv = ["simulate", "--n", "2", "--ticks", "8", "--superposition", "universe", "--out", str(out_path)]

@@ -199,12 +199,81 @@ def test_direct_construction_normalizes_like_explicit(args):
 
 
 def test_allowed_values_are_normalized():
-    want = Superposition.pattern(((0, 1), (0,), (1,)))
+    want = Superposition(3, offset=0b100, free=0b001)
     for allowed in ([[1, 0], [0], [1]], [(1, 0), (0, 0), [1, 1]], [{0, 1}, [0], (1,)]):
-        y = Superposition(3, allowed=allowed)
+        y = Superposition.pattern(allowed)
         assert y == want and hash(y) == hash(want)
-        assert y.allowed == ((0, 1), (0,), (1,))
-    assert Superposition.pattern([[1, 0], [0], [1]]) == want
+        assert (y.offset, y.free) == (0b100, 0b001)
+    assert Superposition.pattern(((0, 1), (0,), (1,))) == want
+
+
+def per_bit_coefficient(allowed, string: int) -> int:
+    """1 where every bit of the string is one of that bit's allowed values."""
+    return int(all((string >> bit) & 1 in set(vals) for bit, vals in enumerate(allowed)))
+
+
+@st.composite
+def allowed_lists(draw):
+    """Per-bit allowed values over 1 to 8 bits, pairs in either order, some
+    as NumPy integers."""
+    n_bits = draw(st.integers(1, 8))
+    values = st.sampled_from([(0,), (1,), (0, 1), (1, 0), (0, 0), (1, 1, 0)])
+    as_numpy = st.sampled_from([int, np.int64, np.uint8])
+    return [tuple(map(draw(as_numpy), draw(values))) for _ in range(n_bits)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(allowed_lists())
+@example([(1, 0)] * 8)
+@example([(np.uint8(1),)])
+def test_pattern_masks_match_the_per_bit_definition(allowed):
+    y = Superposition.pattern(allowed)
+    n_bits = len(allowed)
+    assert type(y.offset) is int and type(y.free) is int
+    term_count = 1
+    for vals in allowed:
+        term_count *= len(set(vals))
+    assert y.term_count == term_count
+    assert y.free_bit_count == sum(len(set(vals)) == 2 for vals in allowed)
+    coefficients = [per_bit_coefficient(allowed, s) for s in range(1 << n_bits)]
+    assert [y.coefficient(s) for s in range(1 << n_bits)] == coefficients
+    assert y.expand().terms == tuple((s, 1) for s, c in enumerate(coefficients) if c)
+    text = "".join("*" if len(set(vals)) == 2 else str(int(vals[0])) for vals in allowed)
+    assert y.to_text() == ("universe" if set(text) == {"*"} else text)
+    # A pattern without free bits is one string, whose text reads as a one-term sum.
+    assert parse_superposition(y.to_text(), n_bits=n_bits) == (y if y.free else y.expand())
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"terms": ((1, 1),), "offset": 0}, "exactly one"),
+        ({}, "exactly one"),
+        ({"terms": ((1, 1),), "free": 0b10}, "free bits only"),
+        ({"offset": 0b1000}, "offset 8 out of range"),
+        ({"offset": 0, "free": 0b1111}, "free 15 out of range"),
+        ({"offset": -1}, "offset -1 out of range"),
+        ({"offset": 0b011, "free": 0b110}, "sets free bits"),
+        ({"offset": 1.0}, "integer"),
+        ({"offset": 0, "free": True}, "integer"),
+    ],
+    ids=["both forms", "neither form", "free with terms", "offset too wide", "free too wide", "negative offset",
+         "overlap", "float offset", "bool free"],
+)
+def test_the_constructor_refuses_an_ill_formed_pattern(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        Superposition(3, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "allowed, match",
+    [([], "n_bits 0 out of range"), ([(0,), ()], "bad allowed-value set"), ([(2,)], "bad allowed-value set"),
+     ([(0, 1, 2)], "bad allowed-value set")],
+    ids=["no bits", "no value", "value 2", "three values"],
+)
+def test_pattern_refuses_bad_allowed_values(allowed, match):
+    with pytest.raises(ValueError, match=match):
+        Superposition.pattern(allowed)
 
 
 # -- text format ----------------------------------------------------------------
@@ -222,7 +291,8 @@ def test_parse_single_string_is_a_singleton():
 
 def test_parse_pattern_star_means_either_value():
     y = parse_superposition("1*0")
-    assert y.is_pattern and y.allowed == ((1,), (0, 1), (0,))
+    assert y.is_pattern and (y.offset, y.free) == (0b001, 0b010)
+    assert y == Superposition.pattern(((1,), (0, 1), (0,)))
 
 
 def test_lone_chunk_with_star_reads_as_pattern_even_if_coeff_shaped():
@@ -272,7 +342,7 @@ def test_width_error_on_a_lone_term_says_how_to_write_it():
         lambda: Superposition(2, terms=((1, 1.5),)),
         lambda: Superposition.explicit(2, {True: 1}),
         lambda: Superposition.pattern([(True,), (0, 1)]),
-        lambda: Superposition(2, allowed=((1.0,), (0, 1))),
+        lambda: Superposition.pattern(((1.0,), (0, 1))),
         lambda: Superposition.explicit(2, {"a": 1, 1: 1}),
         lambda: Superposition.explicit(2, {1: 1, "a": 1}),
         lambda: Superposition.explicit(2, {None: 1, 0: 1}),

@@ -211,7 +211,7 @@ def test_validation_errors():
         orthogonality_report(sys2, 0)
 
 
-@pytest.mark.parametrize(
+tick_calls = pytest.mark.parametrize(
     "call",
     [
         lambda ticks: ReferenceSystem(2, 1).sample(0, 0, ticks),
@@ -220,9 +220,23 @@ def test_validation_errors():
     ],
     ids=["sample", "wire_table", "superposition_sample"],
 )
+
+
+@tick_calls
 def test_a_two_dimensional_tick_array_is_refused(call):
     with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 3\)"):
         call(np.arange(6).reshape(2, 3))
+
+
+@tick_calls
+def test_an_empty_tick_list_is_the_empty_window(call):
+    # np.asarray([]) is float64, though no float was passed
+    want = call(np.array([], dtype=np.uint64))
+    for ticks in ([], (), np.array([])):
+        got = call(ticks)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.shape[-1] == 0
+    with pytest.raises(ValueError, match="ticks must be integers, got dtype float64"):
+        call([2.0])
 
 
 @pytest.mark.parametrize("ticks", [2.5, 3.0, np.float64(3.0), True], ids=["2.5", "3.0", "float64", "bool"])

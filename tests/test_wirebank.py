@@ -198,7 +198,8 @@ def test_pattern_planes_match_the_per_bit_construction(data):
     length = data.draw(st.one_of(st.sampled_from([0, 1, 7, 63, 64, 65, 127, 128, 129]), st.integers(0, 200)))
     bank = WireBank.draw(ReferenceSystem(n_bits, data.draw(st.integers(0, 2**64 - 1))), range(start, start + length))
     bank = bank.apply(compile_circuit(data.draw(circuits(n_bits))))
-    zero, sign = bank.pattern_planes(allowed)
+    y = Superposition.pattern(allowed)
+    zero, sign = bank.pattern_planes(y.offset, y.free)
     want_zero, want_sign = per_bit_pattern_planes(bank, allowed)
     assert zero.dtype == sign.dtype == np.uint8 and zero.shape == sign.shape == want_zero.shape
     assert np.array_equal(zero, want_zero) and np.array_equal(sign, want_sign)
