@@ -39,11 +39,14 @@ class Gate:
     control: int | None = None
 
     def __post_init__(self) -> None:
-        _check_int(self.target, "target", 0)
-        if self.control is not None:
-            _check_int(self.control, "control", 0)
-            if self.control == self.target:
-                raise ValueError(f"CNOT control equals target ({self.target})")
+        target, control = self.target, self.control
+        if type(target) is int and target >= 0 and (control is None or type(control) is int and 0 <= control != target):
+            return
+        _check_int(target, "target", 0)  # names the bad index; NumPy integers pass here
+        if control is not None:
+            _check_int(control, "control", 0)
+            if control == target:
+                raise ValueError(f"CNOT control equals target ({target})")
 
     def to_text(self) -> str:
         if self.control is None:
@@ -167,6 +170,25 @@ class AffineMapGF2:
                 out ^= 1 << t
         return out
 
+    def apply_all(self, strings) -> list[int]:
+        """Images of Python-int strings: `const` XOR the column of every set
+        input bit, O(popcount) per string; `apply` maps one string faster."""
+        columns = [0] * self.n_bits  # columns[i]: the output bits that input bit i feeds
+        for t, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                columns[low.bit_length() - 1] |= 1 << t
+                row ^= low
+        out = []
+        for s in strings:
+            image = self.const
+            while s:
+                low = s & -s
+                image ^= columns[low.bit_length() - 1]
+                s ^= low
+            out.append(image)
+        return out
+
     def then(self, other: "AffineMapGF2") -> "AffineMapGF2":
         """The composite map: apply `self` first, then `other`."""
         if other.n_bits != self.n_bits:
@@ -249,7 +271,12 @@ class InsertionProgram:
     def __post_init__(self) -> None:
         object.__setattr__(self, "insertions", frozenset(self.insertions))
         _check_int(self.n_bits, "n_bits", 1)
-        for ins in self.insertions:
+        n, insertions = self.n_bits, self.insertions
+        if {type(v) for ins in insertions for v in ins} <= {int} and all(
+            0 <= ins.host_bit < n and 0 <= ins.host_value < 2 and 0 <= ins.target < n for ins in insertions
+        ):
+            return
+        for ins in self.insertions:  # names the first bad value; NumPy integers pass here
             _check_int(ins.host_bit, "host_bit", 0, self.n_bits)
             _check_int(ins.host_value, "host_value", 0, 2)
             _check_int(ins.target, "target", 0, self.n_bits)
@@ -288,19 +315,16 @@ def compile_to_insertions(affine: AffineMapGF2) -> InsertionProgram:
     """
     if not affine.is_invertible():
         raise ValueError("cannot compile a non-invertible map")
-    pairs: list[tuple[int, int, int]] = []
-    for t in range(affine.n_bits):
-        mask = affine.rows[t] ^ (1 << t)
-        support = [i for i in range(affine.n_bits) if (mask >> i) & 1]
-        if not (affine.const >> t) & 1:
-            pairs.extend((i, 1, t) for i in support)
-        elif support:
-            pairs.append((support[0], 0, t))
-            pairs.extend((i, 1, t) for i in support[1:])
-        else:
-            pairs.append((t, 0, t))
-            pairs.append((t, 1, t))
-    return InsertionProgram.from_pairs(affine.n_bits, pairs)
+    insertions = []
+    for t, row in enumerate(affine.rows):
+        mask, value = row ^ 1 << t, 1 - (affine.const >> t & 1)
+        if not mask and not value:
+            insertions += (Insertion(t, 0, t), Insertion(t, 1, t))
+        while mask:
+            low = mask & -mask
+            insertions.append(Insertion(low.bit_length() - 1, value, t))
+            mask, value = mask ^ low, 1
+    return InsertionProgram(affine.n_bits, frozenset(insertions))  # each occurs once, so none cancel
 
 
 def compile_circuit(circ: GateCircuit) -> InsertionProgram:

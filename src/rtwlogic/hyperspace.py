@@ -87,16 +87,23 @@ class Superposition:
         if (self.terms is None) == (self.offset is None) or (self.terms is not None and self.free):
             raise ValueError("exactly one of terms/offset must be given, and free bits only with an offset")
         if self.terms is not None:
-            merged: dict[int, int] = {}
-            for s, c in self.terms:
-                # Before the merge, which would fold True or 1.0 into an
-                # equal int key, and before the sum, which would turn True into 1.
-                _check_string(s, self.n_bits)
-                _check_int(c, "coefficient")
-                merged[s] = merged.get(s, 0) + int(c)
-            if sum(map(abs, merged.values())) > _MAX_ABS_COEFF_SUM:
+            terms = tuple(self.terms)  # any iterable of pairs is read once
+            strings, coeffs = [s for s, _ in terms], [c for _, c in terms]
+            # One type pass and one range check, before the merge and the sum, to which True, 1.0 and 1 are alike.
+            types = {*map(type, strings), *map(type, coeffs)}
+            if not types <= {int} or min(strings, default=0) < 0 or max(strings, default=0) >> self.n_bits:
+                for s, c in terms:  # names the first bad value; NumPy integers pass here
+                    _check_string(s, self.n_bits)
+                    _check_int(c, "coefficient")
+                strings, coeffs = [*map(int, strings)], [*map(int, coeffs)]
+            if len(set(strings)) < len(strings):
+                merged: dict[int, int] = {}
+                for s, c in zip(strings, coeffs):
+                    merged[s] = merged.get(s, 0) + c
+                strings, coeffs = list(merged), list(merged.values())
+            if sum(map(abs, coeffs)) > _MAX_ABS_COEFF_SUM:
                 raise ValueError("coefficient magnitudes exceed the exact-arithmetic budget")
-            object.__setattr__(self, "terms", tuple(sorted((s, c) for s, c in merged.items() if c)))
+            object.__setattr__(self, "terms", tuple(sorted(pair for pair in zip(strings, coeffs) if pair[1])))
             return
         for name in ("offset", "free"):
             _check_int(getattr(self, name), f"pattern {name}", 0, 1 << self.n_bits)
@@ -491,8 +498,8 @@ def oracle_apply(affine: AffineMapGF2, y: Superposition) -> Superposition:
     coefficients of colliding images."""
     if affine.n_bits != y.n_bits:
         raise ValueError(f"map n_bits={affine.n_bits} does not match superposition n_bits={y.n_bits}")
-    pairs = [(affine.apply(s), c) for s, c in y.expand().terms]
-    return Superposition.explicit(y.n_bits, pairs)
+    terms = y.expand().terms
+    return Superposition.explicit(y.n_bits, zip(affine.apply_all([s for s, _ in terms]), [c for _, c in terms]))
 
 
 def zero_fraction(sys: ReferenceSystem, y: Superposition, ticks: int) -> Report:

@@ -12,19 +12,20 @@ one pass over a system as wide as the widest trial, a trial of n bits on
 the first n bits' wires. Those are the wires of an n-bit system at that
 seed, so every result is the one its check gives alone. A chunk is first
 compared on packed sign planes, pattern against pattern or term against
-term, a batch of cases at a time; only a case not proved equal there is
-evaluated as integers, so a first mismatch is always an integer one.
+oracle image, a batch of cases at a time; only a case not proved equal there
+is evaluated as integers, so a first mismatch is always an integer one.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .compiler import (
+    AffineMapGF2,
     GateCircuit,
     Insertion,
     InsertionProgram,
@@ -108,39 +109,46 @@ def universe_invariance_check(
     return _bank_equivalence(sys, [case], ticks)[0]
 
 
-def _oracle_case(circ: GateCircuit, y: Superposition) -> tuple[InsertionProgram, Superposition, Superposition]:
-    """The circuit's compiled program, `y`, and the oracle's image of `y`."""
+def _oracle_case(circ: GateCircuit, y: Superposition) -> tuple[InsertionProgram, Superposition, AffineMapGF2]:
+    """The circuit's compiled program, `y`, and its affine map from the gates."""
     amap = circuit_to_affine(circ)
-    return compile_to_insertions(amap), y, oracle_apply(amap, y)
+    return compile_to_insertions(amap), y, amap
 
 
 def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[EquivalenceResult]:
-    """Per case `(prog, y, expected_y)`: the signal of `y` on the program's
-    wires vs the signal of `expected_y` on the raw wires, every case from
-    one draw of the system's raw bank, chunk by chunk; the first mismatch
-    in tick order is kept per case.
+    """Per case `(prog, y, expected)`: the signal of `y` on the program's
+    wires vs, on the raw wires, that of `expected` or, for a map, of its
+    oracle image of `y`; every case from one draw of the system's raw bank,
+    chunk by chunk; the first mismatch in tick order is kept per case.
 
     A case of n bits reads the first n bits' wires of each chunk, which are
     the wires of `ReferenceSystem(n, sys.seed)`: a stream key depends only
     on the seed and the channel. Before anything is drawn, a case is refused
     whose three widths differ or exceed the system's. A chunk's cases go
-    in batches that fit 2N wire and 64 term planes a case into _BLOCK_TICKS
-    plane ticks (at least one case): memory is bounded by the chunk.
+    in batches that fit 2N wire and 2 * 64 term planes a case into
+    _BLOCK_TICKS plane ticks (at least one case): memory is bounded by the
+    chunk. A map's image is built once, where the planes cannot prove it.
     """
-    for prog, y, expected_y in cases:
-        if not prog.n_bits == y.n_bits == expected_y.n_bits <= sys.n_bits:
-            widths = f"(program, y, expected_y) n_bits={prog.n_bits, y.n_bits, expected_y.n_bits}"
+    for prog, y, expected in cases:
+        if not prog.n_bits == y.n_bits == expected.n_bits <= sys.n_bits:
+            widths = f"(program, y, expected_y) n_bits={prog.n_bits, y.n_bits, expected.n_bits}"
             raise ValueError(f"case {widths} does not match system n_bits={sys.n_bits}")
+
+    @cache
+    def expected_y(i: int) -> Superposition:
+        _, y, expected = cases[i]
+        return oracle_apply(expected, y) if isinstance(expected, AffineMapGF2) else expected
 
     def consume(lo: int, raw: WireBank) -> list:
         found = []
-        per_batch = max(1, _BLOCK_TICKS // (raw.planes.shape[-1] * 8) // (2 * sys.n_bits + _TERMWISE_MAX_TERMS))
-        for batch in (cases[i : i + per_batch] for i in range(0, len(cases), per_batch)):
+        per_batch = max(1, _BLOCK_TICKS // (raw.planes.shape[-1] * 8) // (2 * sys.n_bits + 2 * _TERMWISE_MAX_TERMS))
+        for first in range(0, len(cases), per_batch):
+            batch = cases[first : first + per_batch]
             raws = [WireBank(raw.planes[: prog.n_bits], raw.n_ticks) for prog, _, _ in batch]
             banks = [case_raw.apply(prog) for case_raw, (prog, _, _) in zip(raws, batch)]
             equal = _equal_on_planes(raws, banks, batch)
-            for case_raw, bank, (_, y, expected_y), proved in zip(raws, banks, batch, equal):
-                found.append(None if proved else _first_mismatch(lo, case_raw, bank, y, expected_y))
+            for i, (case_raw, bank, (_, y, _), proved) in enumerate(zip(raws, banks, batch, equal), first):
+                found.append(None if proved else _first_mismatch(lo, case_raw, bank, y, expected_y(i)))
         return found
 
     per_chunk = map_window(sys, count_window(ticks), consume)
@@ -160,39 +168,40 @@ def _first_mismatch(
 
 def _equal_on_planes(raws: list[WireBank], banks: list[WireBank], cases) -> list[bool]:
     """Per case of a batch, whether the sign planes prove the signal of `y`
-    on its effective wires `bank` equal to that of `expected_y` on its raw
+    on its effective wires `bank` equal to the expected signal on its raw
     wires `raw` at every tick of the chunk; False where they cannot tell.
 
     Two patterns with k free bits each have signals of 0 or +-2^k: they
     differ where exactly one is zero, or where neither is and the signs
-    differ. Two explicit sums of as many terms, up to _TERMWISE_MAX_TERMS,
-    are equal where their terms pair off, each pair with one coefficient
-    and one sign plane. A correct program makes the effective product
-    string of every s the raw product string of its image, so a compiled
-    circuit and its oracle image pair off term by term. Each side counts
-    the (case, plane, coefficient) of the terms of all such cases at once.
+    differ. An explicit `y` of up to _TERMWISE_MAX_TERMS terms against a
+    map f is proved where every term's effective plane P'_s equals the raw
+    plane P_f(s): then sum c_s P'_s = sum c_s P_f(s), the signal of the
+    oracle image, since merging colliding images is linear. A correct
+    program makes every such pair equal. The terms of all such cases go in
+    blocks of at most _BLOCK_TICKS plane ticks a side, a case's in one or
+    more pieces, and each side of a block is one gather.
     """
     equal = [False] * len(cases)
-    for i, (raw, bank, (_, y, expected_y)) in enumerate(zip(raws, banks, cases)):
-        if y.is_pattern and expected_y.is_pattern and y.free_bit_count == expected_y.free_bit_count:
+    rows, blocks, room = max(1, _BLOCK_TICKS // (raws[0].planes.shape[-1] * 8)), [], 0
+    for i, (raw, bank, (_, y, expected)) in enumerate(zip(raws, banks, cases)):
+        if isinstance(expected, AffineMapGF2):
+            equal[i] = not y.is_pattern and y.term_count <= _TERMWISE_MAX_TERMS
+            strings = [s for s, _ in y.terms] if equal[i] else []
+            for piece in (strings[k : k + rows] for k in range(0, len(strings), rows)):
+                if len(piece) > room:
+                    blocks.append([])
+                    room = rows
+                blocks[-1].append((i, piece))
+                room -= len(piece)
+        elif y.is_pattern and expected.is_pattern and y.free_bit_count == expected.free_bit_count:
             zero_a, sign_a = bank.pattern_planes(y.offset, y.free)
-            zero_b, sign_b = raw.pattern_planes(expected_y.offset, expected_y.free)
+            zero_b, sign_b = raw.pattern_planes(expected.offset, expected.free)
             equal[i] = not raw.count((zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b)))
-        elif not (y.is_pattern or expected_y.is_pattern):
-            equal[i] = y.term_count == expected_y.term_count <= _TERMWISE_MAX_TERMS
-    termwise = [i for i, (_, y, _) in enumerate(cases) if equal[i] and not y.is_pattern]
-
-    def counted(side: int, wires: list[WireBank]) -> Counter:
-        pairs = [(wires[i], [s for s, _ in cases[i][side].terms]) for i in termwise]
-        data, width = gather_string_planes(pairs).tobytes(), wires[0].planes.shape[-1]  # planes freed here
-        rows = [data[k : k + width] for k in range(0, len(data), width)]
-        owners = [i for i in termwise for _ in cases[i][side].terms]
-        return Counter(zip(owners, rows, [c for i in termwise for _, c in cases[i][side].terms]))
-
-    if termwise:
-        # Both sides of a case count as many terms, so one lacks a term of
-        # the other exactly where the other lacks one of its own.
-        for i, _, _ in counted(1, banks) - counted(2, raws):
+    for block in blocks:
+        effective = gather_string_planes([(banks[i], piece) for i, piece in block])
+        effective ^= gather_string_planes([(raws[i], cases[i][2].apply_all(piece)) for i, piece in block])
+        owners = np.repeat([i for i, _ in block], [len(piece) for _, piece in block])
+        for i in owners[raws[0].count(effective) > 0].tolist():
             equal[i] = False
     return equal
 

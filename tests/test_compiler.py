@@ -5,11 +5,12 @@ gate list step by step on an integer bit string; every structural claim
 about affine maps and compiled programs is checked against it.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtwlogic.compiler import (
@@ -157,6 +158,48 @@ def test_numpy_integer_indices_are_accepted():
 def test_insertions_must_use_integers(make):
     with pytest.raises(ValueError, match="integer"):
         make()
+
+
+def per_value_check(n_bits: int, insertions: frozenset):
+    """The error text of the first bad value of `insertions`, in their
+    iteration order, or None."""
+    for ins in insertions:
+        for name, value, stop in (("host_bit", ins[0], n_bits), ("host_value", ins[1], 2), ("target", ins[2], n_bits)):
+            if type(value) is not int and not isinstance(value, np.integer):
+                return f"{name} must be an integer, got {value!r}"
+            if not 0 <= value < stop:
+                return f"{name} {value} out of range [0, {stop})"
+    return None
+
+
+insertion_values = st.one_of(
+    st.integers(-1, 5),
+    st.one_of(
+        st.integers(0, 4).map(np.int64),
+        st.booleans(),
+        st.floats(-1, 4).map(lambda v: round(v, 1)),
+        st.sampled_from([None, 2**70]),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4), st.lists(st.tuples(insertion_values, insertion_values, insertion_values), max_size=8))
+@example(2, [(0, 2, 1)])
+@example(2, [(2, 1, 0)])
+@example(2, [(0, 1, -1)])
+@example(2, [(1, 1, 0), (0, np.uint8(1), 1), (1, 1.0, 0)])
+def test_program_checks_match_a_per_value_reference(n_bits, triples):
+    # One pass over every insertion's values: a program is built, or refused
+    # with the text of the first bad value a check of every value gives.
+    insertions = frozenset(Insertion(*t) for t in triples)
+    want = per_value_check(n_bits, insertions)
+    try:
+        prog = InsertionProgram(n_bits, insertions)
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None and prog.insertions is insertions
 
 
 def indices():
@@ -330,6 +373,40 @@ def test_doubling_a_circuit_matches_applying_it_twice(circ):
     amap = circuit_to_affine(GateCircuit(circ.n_bits, circ.gates * 2))
     for s in range(1 << circ.n_bits):
         assert amap.apply(s) == circ.apply(circ.apply(s))
+
+
+def documented_pairs(amap: AffineMapGF2) -> list[tuple[int, int, int]]:
+    """The pair rule of `compile_to_insertions`: target t on wire (i, 1) for
+    every i in the support S of row_t ^ e_t; when c_t = 1, the smallest
+    host on its value-0 wire instead, or both wires of bit t when S is
+    empty."""
+    pairs = []
+    for t, row in enumerate(amap.rows):
+        support = [i for i in range(amap.n_bits) if (row ^ 1 << t) >> i & 1]
+        if not amap.const >> t & 1:
+            pairs += [(i, 1, t) for i in support]
+        elif support:
+            pairs += [(support[0], 0, t)] + [(i, 1, t) for i in support[1:]]
+        else:
+            pairs += [(t, 0, t), (t, 1, t)]
+    return pairs
+
+
+def test_every_affine_map_on_three_bits_compiles_and_round_trips():
+    # All 168 x 8 = 1,344 invertible affine maps on 3 bits: the program
+    # realizes the map, M is the count the pair rule predicts, and the
+    # program is the pair rule's; the column form maps every string as the
+    # rows do.
+    maps = [AffineMapGF2(3, rows, const) for rows in itertools.product(range(8), repeat=3) for const in range(8)]
+    maps = [amap for amap in maps if amap.is_invertible()]
+    assert len(maps) == 1344
+    for amap in maps:
+        prog = compile_to_insertions(amap)
+        assert affine_of_program(prog) == amap
+        flips = sum(row == 1 << t and amap.const >> t & 1 for t, row in enumerate(amap.rows))
+        assert prog.m == sum((row ^ 1 << t).bit_count() for t, row in enumerate(amap.rows)) + 2 * flips
+        assert prog == InsertionProgram.from_pairs(3, documented_pairs(amap))
+        assert amap.apply_all(range(8)) == [amap.apply(s) for s in range(8)]
 
 
 # -- chain families and the hardware-count scan ------------------------------

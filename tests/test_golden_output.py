@@ -85,6 +85,19 @@ FIRST_TRIAL_CIRCUITS = [
     "CNOT 1 2\nNOT 1\nCNOT 0 1\nNOT 2\nCNOT 7 1\nCNOT 0 5\nCNOT 6 4\nCNOT 4 0\nCNOT 4 2\nCNOT 0 4",
 ]
 
+# The superpositions drawn with those circuits: a change to the
+# `Superposition` constructor must not reorder or alter the draws.
+FIRST_TRIAL_SUPERPOSITIONS = [
+    "10100100;01001100;-3*11001100;3*00010110;2*01111001;-3*10000101;2*10010101;2*10101101;-3*01111011;-1*10001111",
+    "11111100;2*00010110;-2*11001001;2*10101001;-3*01011001;-1*01010101;-1*11000111",
+    "010;2*110;2*001;3*101;-2*011;-2*111",
+    "-2*1100;2*0101",
+    "01110000;2*00101000;3*10011000;-2*01111000;-1*00010100;-3*10010100;-1*11010100;11001100;3*00101100;"
+    "-2*00000010;3*01000010;2*11101010;11011010;-3*00100110;-1*00011110;-1*11100001;3*10001001;00011001;"
+    "2*00110101;-3*10110101;-2*01001101;-2*11001101;2*11011101;-3*00100011;3*10010011;3*01101011;3*00011011;"
+    "-1*01100111;2*11100111;11010111",
+]
+
 
 def stdout_of(argv, capsys):
     code = main(argv)
@@ -118,3 +131,8 @@ def test_conjecture_stdout_without_violations_is_pinned(capsys):
 def test_random_trial_circuits_are_pinned():
     report = random_equivalence_trials(5, draw_seed=0)
     assert [t.circuit_text for t in report.trials] == FIRST_TRIAL_CIRCUITS
+
+
+def test_random_trial_superpositions_are_pinned():
+    report = random_equivalence_trials(5, draw_seed=0)
+    assert [t.superposition_text for t in report.trials] == FIRST_TRIAL_SUPERPOSITIONS

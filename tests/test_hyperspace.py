@@ -29,6 +29,7 @@ from rtwlogic.hyperspace import (
     zero_fraction,
 )
 from rtwlogic.reference import ReferenceSystem, tick_range
+from rtwlogic.verify import signal_equivalence_check
 
 WINDOW = tick_range(512)
 
@@ -153,22 +154,84 @@ def test_a_bad_string_equal_to_a_good_one_is_rejected_in_either_order(bad, bad_f
             make(2, pairs)
 
 
-def test_explicit_checks_each_value_once(monkeypatch):
-    calls = []
+def per_value_terms(n_bits: int, pairs):
+    """Stored terms of an explicit sum, or the error text, checking one
+    value at a time in pair order, each before the merge and the sum."""
 
-    def counting(value, name, *bounds):
-        calls.append(name)
-        return check(value, name, *bounds)
+    def check(value, name: str, stop=None) -> int:
+        if type(value) is not int and not isinstance(value, np.integer):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if stop is not None and not 0 <= value < stop:
+            raise ValueError(f"{name} {value} out of range [0, {stop})")
+        return int(value)
 
-    check = hyperspace._check_int
-    monkeypatch.setattr(hyperspace, "_check_int", counting)
-    pairs = [(1, 2), (5, -1), (1, 3)]
-    for make in (Superposition.explicit, lambda n, terms: Superposition(n, terms=tuple(terms))):
-        calls.clear()
-        make(3, pairs)
-        # One string check per input pair: the repeated string 1 is checked
-        # before the merge, so it cannot hide an unchecked key.
-        assert sorted(calls) == ["coefficient"] * 3 + ["n_bits"] + ["string"] * 3
+    try:
+        merged = {}
+        for s, c in pairs:
+            s = check(s, "string", 1 << n_bits)
+            merged[s] = merged.get(s, 0) + check(c, "coefficient")
+        if sum(map(abs, merged.values())) > 1 << 62:
+            raise ValueError("coefficient magnitudes exceed the exact-arithmetic budget")
+    except ValueError as exc:
+        return str(exc)
+    return tuple(sorted((s, c) for s, c in merged.items() if c))
+
+
+def built_terms(make, n_bits: int, pairs):
+    try:
+        y = make(n_bits, pairs)
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(s) is int and type(c) is int for s, c in y.terms)
+    return y.terms
+
+
+def odd_values(good):
+    """`good` values mixed with the values a check must refuse or convert:
+    bools, floats and NumPy integers."""
+    return st.one_of(
+        good,
+        good.filter(lambda v: abs(v) < 2**63).map(np.int64),
+        st.booleans(),
+        st.floats(-2, 9).map(lambda v: round(v, 1)),
+        st.sampled_from([np.uint8(3), np.float64(1.0), "1", None]),
+    )
+
+
+strings = st.one_of(st.integers(0, 7), st.integers(-2, 9), st.integers(2**62, 2**64))
+coefficients = st.one_of(st.integers(-3, 3), st.sampled_from([0, 2**61, -(2**61), 2**62, 2**62 + 1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n_bits=st.integers(1, 3),
+    pairs=st.lists(st.tuples(odd_values(strings), odd_values(coefficients)), max_size=8),
+)
+@example(n_bits=3, pairs=[(1, 2), (5, -1), (1, 3)])
+@example(n_bits=2, pairs=[(1, 1), (True, 1)])
+@example(n_bits=2, pairs=[(1, 1), (1.0, 1)])
+@example(n_bits=2, pairs=[(1, 2**62), (1, 1), (2, -1)])
+@example(n_bits=2, pairs=[(1, 2**61), (2, 2**61), (3, 1)])
+@example(n_bits=4, pairs=[(np.uint8(3), 1), (np.int64(3), 2), (4, 0)])
+def test_explicit_checks_match_a_per_value_reference(n_bits, pairs):
+    # One type pass and one range check, a merge only where a string
+    # repeats: the stored terms, or the first bad value's error text, are
+    # the ones a check of every value in pair order gives.
+    want = per_value_terms(n_bits, pairs)
+    assert built_terms(Superposition.explicit, n_bits, pairs) == want
+    assert built_terms(lambda n, terms: Superposition(n, terms=tuple(terms)), n_bits, pairs) == want
+    assert built_terms(lambda n, terms: Superposition(n, terms=iter(terms)), n_bits, pairs) == want
+
+
+def test_numpy_strings_are_stored_as_python_ints():
+    # A uint8 string was stored as given, and its oracle image above 8 bits
+    # overflowed: OverflowError, Python integer 513 out of bounds for uint8.
+    want = Superposition.explicit(10, {3: 1, 700: -2})
+    y = Superposition.explicit(10, {np.uint8(3): 1, np.int64(700): -2})
+    assert y == want and all(type(s) is int for s, _ in y.terms)
+    circ = parse_circuit("CNOT 9 0\nCNOT 0 9", n_bits=10)
+    assert oracle_apply(circuit_to_affine(circ), y) == oracle_apply(circuit_to_affine(circ), want)
+    assert signal_equivalence_check(ReferenceSystem(10, 1), circ, y, 256).passed
 
 
 pair_lists = st.integers(1, 5).flatmap(

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from rtwlogic import reference, verify
 from rtwlogic.compiler import (
+    AffineMapGF2,
     GateCircuit,
     InsertionProgram,
+    affine_of_program,
     cnot,
     compile_circuit,
     interacting_chain,
@@ -21,7 +23,7 @@ from rtwlogic.compiler import (
     parse_circuit,
     random_cascade,
 )
-from rtwlogic.hyperspace import Superposition, parse_superposition, superposition_signal
+from rtwlogic.hyperspace import Superposition, oracle_apply, parse_superposition, superposition_signal
 from rtwlogic.reference import ReferenceSystem, WireBank, tick_range
 from rtwlogic.verify import (
     CANONICAL_CIRCUITS,
@@ -141,33 +143,42 @@ def random_sum(rng: random.Random, n_bits: int, terms: int) -> Superposition:
     return Superposition.explicit(n_bits, {s: rng.choice((-3, -1, 1, 2)) for s in strings})
 
 
+def expected_superposition(case) -> Superposition:
+    """The superposition a case's raw signal is read from: its expected
+    sum, or the oracle image of `y` under its map."""
+    _, y, expected = case
+    return oracle_apply(expected, y) if isinstance(expected, AffineMapGF2) else expected
+
+
 def test_termwise_compare_matches_the_int64_compare():
-    # Explicit pairs of equal term counts, up to 64 terms, are first compared
-    # term by term on packed planes; the result must be the one the int64
-    # signals give, first mismatch included. Oracle images pass; a changed
-    # coefficient, a changed program or a changed term count mostly fail.
+    # A map case of up to 64 terms is first compared term by term on packed
+    # planes, each term against its oracle image; the result must be the one
+    # the int64 signals give, first mismatch included. Oracle cases pass; a
+    # changed coefficient, a changed program or another expected sum mostly
+    # fail.
     rng = random.Random(2025)
     outcomes = []
     for case in range(300):
         n_bits = rng.randint(1, 7)
         circuit = random_cascade(rng, n_bits, rng.randint(1, 8), not_rate=0.3)
         y = random_sum(rng, n_bits, rng.choice((1, 2, 5, 20, 64, 65, 100)))
-        prog, _, expected_y = verify._oracle_case(circuit, y)
+        prog, _, expected = verify._oracle_case(circuit, y)
         kind = case % 4
         if kind == 1:
-            s, c = rng.choice(expected_y.terms)
-            expected_y = expected_y + Superposition.explicit(n_bits, {s: -c + rng.choice((-1, 1))})
+            image = oracle_apply(expected, y)
+            s, c = rng.choice(image.terms)
+            expected = image + Superposition.explicit(n_bits, {s: -c + rng.choice((-1, 1))})
         elif kind == 2:
             triples = [(rng.randrange(n_bits), rng.randint(0, 1), rng.randrange(n_bits)) for _ in range(3)]
             prog = InsertionProgram.from_pairs(n_bits, triples)
         elif kind == 3:
-            expected_y = random_sum(rng, n_bits, rng.randint(1, 1 << n_bits))
+            expected = random_sum(rng, n_bits, rng.randint(1, 1 << n_bits))
         ticks = rng.choice([1, 63, 65, 127, 200, 1000, 4097])
         system = ReferenceSystem(n_bits, rng.randrange(1 << 64))
         raw = WireBank.draw(system, tick_range(ticks))
         transformed = superposition_signal(raw.apply(prog), y)
-        want = compare_signals(transformed, superposition_signal(raw, expected_y))
-        (got,) = _bank_equivalence(system, [(prog, y, expected_y)], ticks)
+        want = compare_signals(transformed, superposition_signal(raw, expected_superposition((prog, y, expected))))
+        (got,) = _bank_equivalence(system, [(prog, y, expected)], ticks)
         assert got.to_dict() == want.to_dict(), case
         outcomes.append(got.passed)
     assert all(outcomes[::4]) and 100 <= outcomes.count(False) <= 225
@@ -175,14 +186,15 @@ def test_termwise_compare_matches_the_int64_compare():
 
 def integer_result(case, seed: int, ticks: int) -> EquivalenceResult:
     """A case's result from its own system, both signals as integers."""
-    prog, y, expected_y = case
+    prog, y, _ = case
     raw = WireBank.draw(ReferenceSystem(prog.n_bits, seed), tick_range(ticks))
-    return compare_signals(superposition_signal(raw.apply(prog), y), superposition_signal(raw, expected_y))
+    transformed = superposition_signal(raw.apply(prog), y)
+    return compare_signals(transformed, superposition_signal(raw, expected_superposition(case)))
 
 
 def mixed_case(kind: str, n_bits: int, terms: int, seed: int):
-    """One `(prog, y, expected_y)` case of the given kind and width, with
-    up to `terms` terms where it is an explicit sum."""
+    """One `(prog, y, expected)` case of the given kind and width, with up
+    to `terms` terms where `y` is an explicit sum."""
     rng = random.Random(seed)
     circuit = random_cascade(rng, n_bits, rng.randint(0, 8), not_rate=0.3)
     if kind == "pattern":
@@ -190,15 +202,16 @@ def mixed_case(kind: str, n_bits: int, terms: int, seed: int):
         triples = [(rng.randrange(n_bits), rng.randint(0, 1), rng.randrange(n_bits)) for _ in range(3)]
         prog = InsertionProgram.from_pairs(n_bits, triples[: rng.randint(0, 3)])
         return prog, random_pattern(rng, n_bits, free), random_pattern(rng, n_bits, rng.choice((free, n_bits - free)))
-    if kind == "pattern image":  # a pattern against its explicit image
+    if kind == "pattern image":  # a pattern against its map
         return verify._oracle_case(circuit, random_pattern(rng, n_bits, rng.randint(0, min(n_bits, 5))))
-    prog, y, expected_y = verify._oracle_case(circuit, random_sum(rng, n_bits, terms))
+    prog, y, amap = verify._oracle_case(circuit, random_sum(rng, n_bits, terms))
     if kind == "dropped" and prog.insertions:
         prog = InsertionProgram(n_bits, prog.sorted_insertions()[1:])
-    elif kind == "coefficient" and expected_y.terms:
-        s, c = rng.choice(expected_y.terms)
-        expected_y = expected_y + Superposition.explicit(n_bits, {s: rng.choice((-1, 1))})
-    return prog, y, expected_y
+    elif kind == "coefficient" and y.terms:
+        image = oracle_apply(amap, y)
+        s, c = rng.choice(image.terms)
+        return prog, y, image + Superposition.explicit(n_bits, {s: rng.choice((-1, 1))})
+    return prog, y, amap
 
 
 KINDS = ("oracle", "dropped", "coefficient", "pattern", "pattern image")
@@ -216,19 +229,30 @@ KINDS = ("oracle", "dropped", "coefficient", "pattern", "pattern image")
     budget=st.integers(1, 400),
 )
 @example(
-    specs=[("oracle", 8, 70, 1), ("oracle", 3, 0, 2), ("dropped", 8, 65, 3), ("pattern", 4, 0, 4), ("oracle", 1, 1, 5)],
+    specs=[
+        ("oracle", 8, 70, 1),
+        ("oracle", 3, 0, 2),
+        ("dropped", 8, 65, 3),
+        ("pattern", 4, 0, 4),
+        ("oracle", 1, 1, 5),
+        ("dropped", 6, 20, 6),
+        ("coefficient", 5, 12, 7),
+        ("pattern image", 6, 0, 8),
+    ],
     seed=11,
     ticks=150,
     budget=20,
 )
 def test_batched_proof_matches_each_integer_comparison(specs, seed, ticks, budget):
     # Patterns, explicit sums of 0-70 terms (the empty sum, and more terms
-    # than the term-by-term proof takes), oracle images, mutants with one
-    # insertion dropped or one coefficient moved, widths 1-8, on a window
-    # of 1-3 chunks of 64 ticks, in batches of 1-6 cases:
+    # than the term-by-term proof takes), oracle maps, mutants with one
+    # insertion dropped or one coefficient of the image moved, widths 1-8,
+    # on a window of 1-3 chunks of 64 ticks, in batches of 1-6 cases:
     # every result, first mismatch included, is the one the case's own
-    # integer comparison gives, and an oracle image of at most 64 terms is
-    # proved on planes, never evaluated as integers.
+    # integer comparison gives. An oracle case of at most 64 terms is proved
+    # on planes, never evaluated as integers; a coefficient mutant, and a
+    # dropped-insertion mutant whose map moves a term of `y`, reach the
+    # integer path whenever the first chunk has 64 ticks.
     cases = [mixed_case(*spec) for spec in specs]
     width = max(prog.n_bits for prog, _, _ in cases)
     evaluated = []
@@ -244,8 +268,16 @@ def test_batched_proof_matches_each_integer_comparison(specs, seed, ticks, budge
         patch.setattr(verify, "_first_mismatch", integer_path)
         got = _bank_equivalence(ReferenceSystem(width, seed), cases, ticks)
     assert got == [integer_result(case, seed, ticks) for case in cases]
-    termwise = [y for (kind, *_), (_, y, _) in zip(specs, cases) if kind == "oracle" and y.term_count <= 64]
-    assert not any(y is proved for y in evaluated for proved in termwise)
+    reached = [any(y is seen for seen in evaluated) for _, y, _ in cases]
+    for (kind, *_), (prog, y, expected), was_evaluated in zip(specs, cases, reached):
+        if kind == "oracle" and y.term_count <= 64:
+            assert not was_evaluated
+        elif kind == "coefficient" and y.terms:
+            assert was_evaluated
+        elif kind == "dropped" and ticks >= 64:
+            strings = [s for s, _ in y.terms]
+            moved = affine_of_program(prog).apply_all(strings) != expected.apply_all(strings)
+            assert was_evaluated or not moved
 
 
 def test_equivalence_memory_is_bounded_by_the_batch_not_the_case_count():
@@ -266,6 +298,24 @@ def test_equivalence_memory_is_bounded_by_the_batch_not_the_case_count():
             tracemalloc.stop()
         assert len(results) == count and all(r.passed for r in results)
     assert peaks[40] - peaks[5] < verify._BLOCK_TICKS // 8 * 1.1, peaks
+
+
+def test_a_case_with_more_term_planes_than_a_block_is_proved_in_blocks():
+    # 64 terms of 8 bits on one chunk of 2^18 ticks: each side's term planes
+    # take 2 MiB, four blocks (512 KiB each). Gathered a block at a time,
+    # the check peaks below six blocks; all at once, it took 7 MiB.
+    rng = random.Random(3)
+    y = Superposition.explicit(8, {s: rng.choice((-2, 1, 3)) for s in rng.sample(range(256), 64)})
+    case = verify._oracle_case(random_cascade(rng, 8, 12, not_rate=0.2), y)
+    system, ticks = ReferenceSystem(8, 1), 1 << 18
+    _bank_equivalence(system, [case], ticks)
+    tracemalloc.start()
+    try:
+        (result,) = _bank_equivalence(system, [case], ticks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed and peak < 6 * (verify._BLOCK_TICKS // 8), peak
 
 
 def test_cases_checked_together_match_each_checked_alone(monkeypatch):
