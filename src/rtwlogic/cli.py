@@ -80,17 +80,14 @@ def _read_circuit(path: str, n_bits: int | None):
     return parse_circuit(text, n_bits=n_bits)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        print(text)
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
     circ = _read_circuit(args.circuit, args.n)
     program = compile_circuit(circ)
-    _emit(json.dumps(program.to_dict(), indent=2), args.out)
+    text = json.dumps(program.to_dict(), indent=2)
+    if args.out is None:
+        print(text)
+    else:
+        Path(args.out).write_text(text + "\n")
     return 0
 
 

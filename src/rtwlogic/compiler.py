@@ -189,21 +189,6 @@ class AffineMapGF2:
             out.append(image)
         return out
 
-    def then(self, other: "AffineMapGF2") -> "AffineMapGF2":
-        """The composite map: apply `self` first, then `other`."""
-        if other.n_bits != self.n_bits:
-            raise ValueError("n_bits mismatch in composition")
-        rows = []
-        for t in range(self.n_bits):
-            acc = 0
-            r = other.rows[t]
-            while r:
-                k = (r & -r).bit_length() - 1
-                acc ^= self.rows[k]
-                r &= r - 1
-            rows.append(acc)
-        return AffineMapGF2(self.n_bits, tuple(rows), other.apply(self.const))
-
     def _row_reduce(self) -> tuple[int, ...] | None:
         # Gauss-Jordan on (rows | I); returns inverse rows or None.
         work = list(self.rows)

@@ -172,13 +172,13 @@ class Superposition:
             return sum(c**2 for _, c in self.terms)
         return self.term_count
 
-    def expand(self, budget: int = DEFAULT_EXPANSION_BUDGET) -> "Superposition":
+    def expand(self) -> "Superposition":
         """Explicit form of this superposition, enumerating pattern strings."""
         if self.terms is not None:
             return self
-        if self.term_count > budget:
+        if self.term_count > DEFAULT_EXPANSION_BUDGET:
             raise ExpansionBudgetError(
-                f"pattern expands to {self.term_count} strings, budget is {budget}"
+                f"pattern expands to {self.term_count} strings, budget is {DEFAULT_EXPANSION_BUDGET}"
             )
         strings = [self.offset]
         for bit in range(self.n_bits):

@@ -148,7 +148,7 @@ class WireBank:
     def string_planes(self, strings) -> np.ndarray:
         """Sign planes of product strings, one row each: `gather_string_planes` of one bank."""
         strings = np.asarray(strings, dtype=np.int64)
-        return gather_string_planes([(self, strings.ravel())]).reshape(*strings.shape, self.planes.shape[-1])
+        return gather_string_planes([self], 0, strings.ravel()).reshape(*strings.shape, self.planes.shape[-1])
 
     def operators(self) -> np.ndarray:
         """Sign planes of the NOT operators, one row per bit.
@@ -196,23 +196,21 @@ class WireBank:
         return unpack_signs(planes, self.n_ticks)
 
 
-def gather_string_planes(pairs) -> np.ndarray:
-    """Sign planes of the product strings of `(bank, strings)` pairs of banks
-    of one tick count, one row per string in pair order: the XOR of the
-    planes it selects in its bank. Each bit is one gather for all rows."""
-    banks, strings = zip(*pairs)
+def gather_string_planes(banks, owners, strings) -> np.ndarray:
+    """Sign planes of product strings on banks of one tick count, one row
+    per string: row j is the XOR of the planes that `strings[j]` selects in
+    `banks[owners[j]]` (`owners` may be one index for every row). Each bit
+    is one gather for all rows."""
     if len(banks) == 1:  # the bank's own planes, not a copy
-        table, owner = banks[0].planes[None], 0
+        table = banks[0].planes[None]
     else:  # every bank's planes, zero-padded to the widest bank
         table = np.zeros((len(banks), max(bank.n_bits for bank in banks), *banks[0].planes.shape[1:]), np.uint8)
         for j, bank in enumerate(banks):
             table[j, : bank.n_bits] = bank.planes
-        owner = np.repeat(np.arange(len(banks)), [len(part) for part in strings])
-    strings = np.concatenate([np.asarray(part, dtype=np.int64) for part in strings])
-    select = (strings[:, None] >> np.arange(table.shape[1])) & 1
-    out = table[owner, 0, select[:, 0]]
+    select = (np.asarray(strings, dtype=np.int64)[:, None] >> np.arange(table.shape[1])) & 1
+    out = table[owners, 0, select[:, 0]]
     for bit in range(1, table.shape[1]):
-        out ^= table[owner, bit, select[:, bit]]
+        out ^= table[owners, bit, select[:, bit]]
     return out
 
 

@@ -125,9 +125,10 @@ def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[Equivalen
     the wires of `ReferenceSystem(n, sys.seed)`: a stream key depends only
     on the seed and the channel. Before anything is drawn, a case is refused
     whose three widths differ or exceed the system's. A chunk's cases go
-    in batches that fit 2N wire and 2 * 64 term planes a case into
-    _BLOCK_TICKS plane ticks (at least one case): memory is bounded by the
-    chunk. A map's image is built once, where the planes cannot prove it.
+    in batches that fit 2N wire and 2 * 64 term planes a case into `rows`,
+    the planes of _BLOCK_TICKS plane ticks (at least one case), and each
+    batch's terms are proved `rows` planes at a time: memory is bounded by
+    the chunk. A map's image is built once, where the planes cannot prove it.
     """
     for prog, y, expected in cases:
         if not prog.n_bits == y.n_bits == expected.n_bits <= sys.n_bits:
@@ -141,12 +142,13 @@ def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[Equivalen
 
     def consume(lo: int, raw: WireBank) -> list:
         found = []
-        per_batch = max(1, _BLOCK_TICKS // (raw.planes.shape[-1] * 8) // (2 * sys.n_bits + 2 * _TERMWISE_MAX_TERMS))
+        rows = max(1, _BLOCK_TICKS // (raw.planes.shape[-1] * 8))
+        per_batch = max(1, rows // (2 * sys.n_bits + 2 * _TERMWISE_MAX_TERMS))
         for first in range(0, len(cases), per_batch):
             batch = cases[first : first + per_batch]
             raws = [WireBank(raw.planes[: prog.n_bits], raw.n_ticks) for prog, _, _ in batch]
             banks = [case_raw.apply(prog) for case_raw, (prog, _, _) in zip(raws, batch)]
-            equal = _equal_on_planes(raws, banks, batch)
+            equal = _equal_on_planes(raws, banks, batch, rows)
             for i, (case_raw, bank, (_, y, _), proved) in enumerate(zip(raws, banks, batch, equal), first):
                 found.append(None if proved else _first_mismatch(lo, case_raw, bank, y, expected_y(i)))
         return found
@@ -166,7 +168,7 @@ def _first_mismatch(
     return mismatch and (lo + mismatch[0], *mismatch[1:])
 
 
-def _equal_on_planes(raws: list[WireBank], banks: list[WireBank], cases) -> list[bool]:
+def _equal_on_planes(raws: list[WireBank], banks: list[WireBank], cases, rows: int) -> list[bool]:
     """Per case of a batch, whether the sign planes prove the signal of `y`
     on its effective wires `bank` equal to the expected signal on its raw
     wires `raw` at every tick of the chunk; False where they cannot tell.
@@ -177,31 +179,28 @@ def _equal_on_planes(raws: list[WireBank], banks: list[WireBank], cases) -> list
     map f is proved where every term's effective plane P'_s equals the raw
     plane P_f(s): then sum c_s P'_s = sum c_s P_f(s), the signal of the
     oracle image, since merging colliding images is linear. A correct
-    program makes every such pair equal. The terms of all such cases go in
-    blocks of at most _BLOCK_TICKS plane ticks a side, a case's in one or
-    more pieces, and each side of a block is one gather.
+    program makes every such pair equal. The terms of all such cases form
+    one flat list of (case, string, image), compared `rows` planes at a
+    time: each side of a slice is one gather.
     """
-    equal = [False] * len(cases)
-    rows, blocks, room = max(1, _BLOCK_TICKS // (raws[0].planes.shape[-1] * 8)), [], 0
+    equal, owners, strings, images = [False] * len(cases), [], [], []
     for i, (raw, bank, (_, y, expected)) in enumerate(zip(raws, banks, cases)):
         if isinstance(expected, AffineMapGF2):
             equal[i] = not y.is_pattern and y.term_count <= _TERMWISE_MAX_TERMS
-            strings = [s for s, _ in y.terms] if equal[i] else []
-            for piece in (strings[k : k + rows] for k in range(0, len(strings), rows)):
-                if len(piece) > room:
-                    blocks.append([])
-                    room = rows
-                blocks[-1].append((i, piece))
-                room -= len(piece)
+            terms = [s for s, _ in y.terms] if equal[i] else []
+            owners += [i] * len(terms)
+            strings += terms
+            images += expected.apply_all(terms)
         elif y.is_pattern and expected.is_pattern and y.free_bit_count == expected.free_bit_count:
             zero_a, sign_a = bank.pattern_planes(y.offset, y.free)
             zero_b, sign_b = raw.pattern_planes(expected.offset, expected.free)
             equal[i] = not raw.count((zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b)))
-    for block in blocks:
-        effective = gather_string_planes([(banks[i], piece) for i, piece in block])
-        effective ^= gather_string_planes([(raws[i], cases[i][2].apply_all(piece)) for i, piece in block])
-        owners = np.repeat([i for i, _ in block], [len(piece) for _, piece in block])
-        for i in owners[raws[0].count(effective) > 0].tolist():
+    owners = np.array(owners, dtype=np.intp)
+    for lo in range(0, len(strings), rows):
+        part = slice(lo, lo + rows)
+        differ = gather_string_planes(banks, owners[part], strings[part])
+        differ ^= gather_string_planes(raws, owners[part], images[part])
+        for i in owners[part][raws[0].count(differ) > 0].tolist():
             equal[i] = False
     return equal
 
@@ -303,35 +302,30 @@ def random_equivalence_trials(
     )
 
 
-# Canonical circuits: name -> (circuit text, expected insertions, expected M).
-# They cover the single NOT, the single CNOT, and both orderings of the
-# 2- and 3-gate chained cascades (the interacting direction needs extra
-# correction operators on earlier control wires).
-CANONICAL_CIRCUITS: dict[str, tuple[str, frozenset[Insertion], int]] = {
+# Canonical circuits: name -> (circuit text, expected insertions), whose
+# size is the expected M. They cover the single NOT, the single CNOT, and
+# both orderings of the 2- and 3-gate chained cascades (the interacting
+# direction needs extra correction operators on earlier control wires).
+CANONICAL_CIRCUITS: dict[str, tuple[str, frozenset[Insertion]]] = {
     "not_gate": (
         "NOT 2",
         frozenset({Insertion(2, 0, 2), Insertion(2, 1, 2)}),
-        2,
     ),
     "single_cnot": (
         "CNOT 1 2",
         frozenset({Insertion(1, 1, 2)}),
-        1,
     ),
     "noninteracting_pair": (
         "CNOT 1 2\nCNOT 0 1",
         frozenset({Insertion(0, 1, 1), Insertion(1, 1, 2)}),
-        2,
     ),
     "interacting_pair": (
         "CNOT 0 1\nCNOT 1 2",
         frozenset({Insertion(0, 1, 1), Insertion(1, 1, 2), Insertion(0, 1, 2)}),
-        3,
     ),
     "noninteracting_chain3": (
         "CNOT 2 3\nCNOT 1 2\nCNOT 0 1",
         frozenset({Insertion(0, 1, 1), Insertion(1, 1, 2), Insertion(2, 1, 3)}),
-        3,
     ),
     "interacting_chain3": (
         "CNOT 0 1\nCNOT 1 2\nCNOT 2 3",
@@ -345,7 +339,6 @@ CANONICAL_CIRCUITS: dict[str, tuple[str, frozenset[Insertion], int]] = {
                 Insertion(2, 1, 3),
             }
         ),
-        6,
     ),
 }
 
@@ -360,12 +353,11 @@ class SuiteEntry:
     name: str
     program: InsertionProgram
     expected: frozenset[Insertion]
-    expected_m: int
     equivalence: EquivalenceResult
 
     @property
     def program_ok(self) -> bool:
-        return self.program.insertions == self.expected and self.program.m == self.expected_m
+        return self.program.insertions == self.expected
 
     @property
     def passed(self) -> bool:
@@ -377,14 +369,14 @@ class SuiteEntry:
             "pass": self.passed,
             "program_ok": self.program_ok,
             "M": self.program.m,
-            "expected_M": self.expected_m,
+            "expected_M": len(self.expected),
             "insertions": [i.to_dict() for i in self.program.sorted_insertions()],
             "equivalence": self.equivalence.to_dict(),
         }
 
     def line(self) -> str:
         return (
-            f"{self.name}: M={self.program.m} (expected {self.expected_m}), "
+            f"{self.name}: M={self.program.m} (expected {len(self.expected)}), "
             f"program {'matches' if self.program_ok else 'DIFFERS'}, "
             f"equivalence over {self.equivalence.ticks_checked} ticks "
             f"{'exact' if self.equivalence.passed else 'MISMATCH'}"
@@ -395,13 +387,13 @@ def canonical_suite(seed: int = DEFAULT_SEED, ticks: int = DEFAULT_TICKS) -> Rep
     """Compile every canonical circuit, check the exact insertion sets and
     hardware counts, and verify signal equivalence on the sum of all 2^4
     strings with coefficients 1..16, every circuit on one draw of the wires."""
-    circuits = [parse_circuit(text, n_bits=SUITE_BITS) for text, _, _ in CANONICAL_CIRCUITS.values()]
+    circuits = [parse_circuit(text, n_bits=SUITE_BITS) for text, _ in CANONICAL_CIRCUITS.values()]
     # Distinct coefficients: a program whose map differs from the circuit's
     # moves some coefficient to another string, so its signal differs.
     weighted = Superposition.explicit(SUITE_BITS, {s: s + 1 for s in range(1 << SUITE_BITS)})
     cases = [_oracle_case(circ, weighted) for circ in circuits]
     results = _bank_equivalence(ReferenceSystem(SUITE_BITS, seed), cases, ticks)
     report = Report()
-    for (name, (_, expected, expected_m)), case, equivalence in zip(CANONICAL_CIRCUITS.items(), cases, results):
-        report.entries.append(SuiteEntry(name, case[0], expected, expected_m, equivalence))
+    for (name, (_, expected)), case, equivalence in zip(CANONICAL_CIRCUITS.items(), cases, results):
+        report.entries.append(SuiteEntry(name, case[0], expected, equivalence))
     return report

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from rtwlogic import (
+    InsertionProgram,
     ReferenceSystem,
     cli,
     compile_circuit,
@@ -15,6 +16,7 @@ from rtwlogic import (
     parse_superposition,
     superposition_sample,
     tick_range,
+    verify,
 )
 from rtwlogic.cli import main
 
@@ -252,6 +254,15 @@ def test_verify_random_suite_passes(capsys):
         capsys,
     )
     assert code == 0 and "5 trials, 0 failures" in out
+
+
+def test_verify_exits_1_when_a_check_fails(monkeypatch, capsys):
+    # A compiler that drops every insertion: every canonical program
+    # differs from its expected set, and the run is a check failure.
+    monkeypatch.setattr(verify, "compile_to_insertions", lambda amap: InsertionProgram(amap.n_bits, frozenset()))
+    code, out, _ = run(["verify", "--suite", "figures", "--ticks", "128"], capsys)
+    assert code == cli.CHECK_FAILURE == 1
+    assert out.count("[FAIL]") == 6
 
 
 def test_stats_reports_every_estimator(capsys):

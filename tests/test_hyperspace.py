@@ -108,8 +108,9 @@ def test_expand_agrees_with_pattern_coefficients():
 
 
 def test_expand_budget_guard():
+    # 2^21 strings exceed the budget, and are refused before any is listed.
     with pytest.raises(ExpansionBudgetError):
-        Superposition.universe(12).expand(budget=1000)
+        Superposition.universe(21).expand()
 
 
 def test_coefficient_sums():

@@ -280,6 +280,20 @@ def test_batched_proof_matches_each_integer_comparison(specs, seed, ticks, budge
             assert was_evaluated or not moved
 
 
+def test_a_mismatch_in_a_later_chunk_is_reported_at_its_window_tick(monkeypatch):
+    # Two patterns of 8 free bits that differ in bit 8 are nonzero about
+    # one tick in 2^8, and differ at half of those: on seed 1 the first
+    # mismatch lies in the third chunk of 64 ticks, and is named by its
+    # tick in the window, as one chunk of the whole window names it.
+    system = ReferenceSystem(9, 1)
+    y, expected = Superposition(9, offset=0, free=0xFF), Superposition(9, offset=0x100, free=0xFF)
+    case = (InsertionProgram(9, frozenset()), y, expected)
+    whole = _bank_equivalence(system, [case], 4096)
+    assert whole[0].first_mismatch[0] >= 128
+    monkeypatch.setattr(reference, "_CHUNK_SAMPLES", 64 * 2 * 9)
+    assert _bank_equivalence(system, [case], 4096) == whole
+
+
 def test_equivalence_memory_is_bounded_by_the_batch_not_the_case_count():
     # A window of 2^18 ticks of 8 bits is one chunk, and every case of
     # 32 terms a batch of its own: 40 cases peak less than one batch

@@ -154,21 +154,24 @@ def test_bank_matches_the_int8_reference(case):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_strings_of_many_banks_are_gathered_like_each_alone(data):
-    # Banks of 1-8 bits on one window, raw or under a program, each with
-    # 0-6 strings: every row is the XOR of the planes its string selects
-    # in its own bank, in pair order, as one string on one bank gives it.
+    # 2-6 banks of 1-8 bits on one window, raw or under a program, and 0-20
+    # rows whose owners come interleaved and in any order: each row is the
+    # XOR of the planes its string selects in its owner, as one string on
+    # that bank alone gives it. One bank is owned by no row.
     ticks = data.draw(windows().filter(lambda w: not np.isscalar(w)))
-    pairs, rows = [], []
-    for _ in range(data.draw(st.integers(1, 5))):
+    banks = []
+    for _ in range(data.draw(st.integers(2, 6))):
         n_bits = data.draw(st.integers(1, 8))
         bank = WireBank.draw(ReferenceSystem(n_bits, data.draw(st.integers(0, 2**64 - 1))), ticks)
-        bank = bank.apply(compile_circuit(data.draw(circuits(n_bits))))
-        strings = data.draw(st.lists(st.integers(0, (1 << n_bits) - 1), max_size=6))
-        pairs.append((bank, strings))
-        for s in strings:
-            rows.append(np.bitwise_xor.reduce([bank.planes[bit, (s >> bit) & 1] for bit in range(n_bits)]))
-            assert np.array_equal(bank.string_planes(s), rows[-1])
-    got = reference.gather_string_planes(pairs)
+        banks.append(bank.apply(compile_circuit(data.draw(circuits(n_bits)))))
+    unowned = data.draw(st.integers(0, len(banks) - 1))
+    owners = data.draw(st.lists(st.sampled_from([j for j in range(len(banks)) if j != unowned]), max_size=20))
+    strings = [data.draw(st.integers(0, (1 << banks[j].n_bits) - 1)) for j in owners]
+    rows = []
+    for j, s in zip(owners, strings):
+        rows.append(np.bitwise_xor.reduce([banks[j].planes[bit, (s >> bit) & 1] for bit in range(banks[j].n_bits)]))
+        assert np.array_equal(banks[j].string_planes(s), rows[-1])
+    got = reference.gather_string_planes(banks, np.array(owners, dtype=np.intp), strings)
     assert np.array_equal(got, np.array(rows, dtype=np.uint8).reshape(len(rows), got.shape[-1]))
 
 
