@@ -269,8 +269,8 @@ MUTANTS = [
     Mutant(
         "signed gate index accepted",
         "src/rtwlogic/compiler.py",
-        "        return int(token, 10)\n",
-        "        return abs(int(token, 10))\n",
+        "    return int(token, 10)\n",
+        "    return abs(int(token, 10))\n",
         ("tests/test_compiler.py",),
     ),
     # Superposition: repeated strings are kept, not merged.
@@ -279,6 +279,38 @@ MUTANTS = [
         "src/rtwlogic/hyperspace.py",
         "merged[s] = merged.get(s, 0) + c",
         "merged[s] = c",
+        ("tests/test_hyperspace.py",),
+    ),
+    # Pattern signals: the ticks where a free bit's wires differ keep +-2^k.
+    Mutant(
+        "pattern zero ticks not cleared",
+        "src/rtwlogic/hyperspace.py",
+        "        samples *= 1 - bank.bits(zero).view(np.int8)\n",
+        "",
+        ("tests/test_hyperspace.py",),
+    ),
+    # Pattern signals: a pattern of k free bits reads +-2^(k-1).
+    Mutant(
+        "pattern magnitude halved",
+        "src/rtwlogic/hyperspace.py",
+        "np.int64(1 << y.free.bit_count())",
+        "np.int64(1 << y.free.bit_count() >> 1)",
+        ("tests/test_hyperspace.py",),
+    ),
+    # Affine maps: a row that reduces to zero is skipped, not refused.
+    Mutant(
+        "rank check accepting a dependent row",
+        "src/rtwlogic/compiler.py",
+        "            if not row:\n                return False\n",
+        "            if not row:\n                continue\n",
+        ("tests/test_compiler.py",),
+    ),
+    # Superposition text: a coefficient of other scripts' digits is read.
+    Mutant(
+        "coefficient digits beyond ASCII",
+        "src/rtwlogic/hyperspace.py",
+        "[+-]?[0-9]+",
+        "[+-]?\\d+",
         ("tests/test_hyperspace.py",),
     ),
 ]

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .compiler import (
     CircuitParseError,
+    _parse_int,
     compile_circuit,
     conjecture_scan,
     parse_circuit,
@@ -39,14 +40,14 @@ _TRACE_ROWS = 1 << 16
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _parse_int(text, "integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    value = _parse_int(text, "seed")
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {text}")
     return value

@@ -14,6 +14,7 @@ int bitmasks over the input bits.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from math import inf
@@ -118,11 +119,11 @@ def parse_circuit(text: str, n_bits: int | None = None) -> GateCircuit:
             if kind == "NOT":
                 if len(fields) != 2:
                     raise ValueError(f"NOT takes one index, got {len(fields) - 1}")
-                gates.append(not_gate(_parse_index(fields[1])))
+                gates.append(not_gate(_parse_int(fields[1], "index")))
             elif kind == "CNOT":
                 if len(fields) != 3:
                     raise ValueError(f"CNOT takes two indices, got {len(fields) - 1}")
-                gates.append(cnot(_parse_index(fields[1]), _parse_index(fields[2])))
+                gates.append(cnot(_parse_int(fields[1], "index"), _parse_int(fields[2], "index")))
             else:
                 raise ValueError(f"unknown gate {fields[0]!r}")
         except ValueError as exc:
@@ -136,11 +137,12 @@ def parse_circuit(text: str, n_bits: int | None = None) -> GateCircuit:
     return GateCircuit(n_bits, tuple(gates))
 
 
-def _parse_index(token: str) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise ValueError(f"bad index {token!r}") from None
+def _parse_int(token: str, what: str) -> int:
+    """ASCII decimal digits, with a '-' read for a range check to name;
+    `int` alone also reads '1_1', '+1', ' 1' and other scripts' digits."""
+    if re.fullmatch("-?[0-9]+", token) is None:
+        raise ValueError(f"bad {what} {token!r}")
+    return int(token, 10)
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,20 @@ class AffineMapGF2:
             out.append(image)
         return out
 
-    def _row_reduce(self) -> tuple[int, ...] | None:
-        # Gauss-Jordan on (rows | I); returns inverse rows or None.
+    def is_invertible(self) -> bool:
+        """Rank check: no row reduces to zero by the rows kept before it, whose
+        top bits differ, so `min(row, row ^ pivot)` clears a pivot's top bit."""
+        kept: list[int] = []
+        for row in self.rows:
+            for pivot in kept:
+                row = min(row, row ^ pivot)
+            if not row:
+                return False
+            kept.append(row)
+        return True
+
+    def inverse(self) -> "AffineMapGF2":
+        # Gauss-Jordan on (rows | I).
         work = list(self.rows)
         aug = [1 << t for t in range(self.n_bits)]
         for col in range(self.n_bits):
@@ -200,24 +214,15 @@ class AffineMapGF2:
                     pivot = r
                     break
             if pivot is None:
-                return None
+                raise ValueError("map is not invertible over GF(2)")
             work[col], work[pivot] = work[pivot], work[col]
             aug[col], aug[pivot] = aug[pivot], aug[col]
             for r in range(self.n_bits):
                 if r != col and (work[r] >> col) & 1:
                     work[r] ^= work[col]
                     aug[r] ^= aug[col]
-        return tuple(aug)
-
-    def is_invertible(self) -> bool:
-        return self._row_reduce() is not None
-
-    def inverse(self) -> "AffineMapGF2":
-        inv_rows = self._row_reduce()
-        if inv_rows is None:
-            raise ValueError("map is not invertible over GF(2)")
-        linear = AffineMapGF2(self.n_bits, inv_rows)
-        return AffineMapGF2(self.n_bits, inv_rows, linear.apply(self.const))
+        linear = AffineMapGF2(self.n_bits, tuple(aug))
+        return AffineMapGF2(self.n_bits, tuple(aug), linear.apply(self.const))
 
 
 def circuit_to_affine(circ: GateCircuit) -> AffineMapGF2:

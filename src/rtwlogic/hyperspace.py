@@ -40,10 +40,6 @@ _MAX_ABS_COEFF_SUM = 1 << 62
 _MAX_LOW_BITS = 16
 # Estimated nanoseconds of one NumPy call, in `_low_bit_count`.
 _CALL_COST = 1000
-# Plane ticks per block of group sign planes (512 KiB of packed bits; a
-# window shorter than one 64-bit word counts as one word), which bounds the
-# working set of explicit sums and readouts whatever the group count.
-_BLOCK_TICKS = 1 << 22
 
 
 class ExpansionBudgetError(RuntimeError):
@@ -123,20 +119,6 @@ class Superposition:
         return cls(n_bits, terms=tuple((s, 1) for s in strings))
 
     @classmethod
-    def pattern(cls, allowed) -> "Superposition":
-        """Pattern from bit i's allowed values, (0,), (1,) or (0, 1) in any order."""
-        allowed = tuple(allowed)
-        offset = free = 0
-        for bit, vals in enumerate(allowed):
-            for value in vals:
-                _check_int(value, "allowed value")
-            if set(vals) not in ({0}, {1}, {0, 1}):
-                raise ValueError(f"bad allowed-value set {vals!r}")
-            offset |= int(min(vals)) << bit
-            free |= int(max(vals) - min(vals)) << bit
-        return cls(len(allowed), offset=offset, free=free)
-
-    @classmethod
     def universe(cls, n_bits: int) -> "Superposition":
         """The coefficient-1 sum of all 2^n_bits product strings."""
         return cls(n_bits, offset=0, free=(1 << n_bits) - 1)
@@ -149,23 +131,11 @@ class Superposition:
     def term_count(self) -> int:
         return 1 << self.free.bit_count() if self.terms is None else len(self.terms)
 
-    @property
-    def free_bit_count(self) -> int:
-        """Number of pattern bits allowing both values."""
-        if self.terms is not None:
-            raise ValueError("free bits are defined for pattern superpositions only")
-        return self.free.bit_count()
-
     def coefficient(self, string: int) -> int:
         _check_string(string, self.n_bits)
         if self.terms is None:
             return int(not (int(string) ^ self.offset) & ~self.free)
         return dict(self.terms).get(string, 0)
-
-    def abs_coeff_sum(self) -> int:
-        if self.terms is not None:
-            return sum(abs(c) for _, c in self.terms)
-        return self.term_count
 
     def sq_coeff_sum(self) -> int:
         if self.terms is not None:
@@ -211,7 +181,7 @@ class Superposition:
         return text
 
 
-_CHUNK_RE = re.compile(r"^(?:(?P<coeff>[+-]?\d+)\*)?(?P<bits>[01]+)$")
+_CHUNK_RE = re.compile(r"^(?:(?P<coeff>[+-]?[0-9]+)\*)?(?P<bits>[01]+)$")
 
 
 def parse_superposition(text: str, n_bits: int | None = None) -> Superposition:
@@ -292,7 +262,8 @@ def superposition_sample(sys: ReferenceSystem, prog: InsertionProgram | None, y:
 def superposition_signal(bank: WireBank, y: Superposition, out: np.ndarray | None = None) -> np.ndarray:
     """Exact int64 signal of a superposition on the wires of a bank.
 
-    A pattern is 0 where a free bit's two wires differ and +-2^k elsewhere.
+    A pattern is 0 where a free bit's two wires differ and +-2^k elsewhere:
+    its sign plane's +-1 samples, cleared on its zero plane, times 2^k.
     An explicit sum adds, per group of strings sharing their bits above the
     low K, the group's transformed coefficient table gathered at the low
     NOT-operator bits and multiplied by the +-1 samples of the group's
@@ -306,14 +277,10 @@ def superposition_signal(bank: WireBank, y: Superposition, out: np.ndarray | Non
         out = np.empty(bank.n_ticks, dtype=np.int64)
     if y.is_pattern:
         zero, sign = bank.pattern_planes(y.offset, y.free)
-        magnitude = 1 << y.free_bit_count
-        # Indexed by sign bit + 2 * zero bit.
-        levels = np.array([magnitude, -magnitude, 0, 0], dtype=np.int64)
-        sign_bits, level = bank.bits(np.stack([sign, zero]))
-        level <<= 1
-        level |= sign_bits
-        # mode="clip" (every index is in range) writes into `out` unbuffered.
-        return np.take(levels, level, out=out, mode="clip")
+        samples = bank.signs(sign)
+        # A product, not a masked store, which ran 2.5x slower on a random mask (2-core Xeon).
+        samples *= 1 - bank.bits(zero).view(np.int8)
+        return np.multiply(samples, np.int64(1 << y.free.bit_count()), out=out)
     return _explicit_signal(bank, y, out=out)
 
 
@@ -369,7 +336,7 @@ def _correlation(bank: WireBank, y: Superposition, probe_plane: np.ndarray, low_
         # Where the signal is nonzero it is +-2^k: + where the signs agree.
         nonzero = ticks - int(bank.count(zero))
         nonzero_differ = int(bank.count(differ)) - int(bank.count(zero & differ))
-        return (1 << y.free_bit_count) * (nonzero - 2 * nonzero_differ)
+        return (1 << y.free.bit_count()) * (nonzero - 2 * nonzero_differ)
     split = _SpectralSplit(bank, y, low_bits, readout=True)
     size = 1 << split.low_bits
     counts_dtype = np.int32 if ticks < 1 << 31 else np.int64
@@ -406,7 +373,7 @@ class _SpectralSplit:
     per tick as uint16 (`WireBank.operator_index`), None when K = 0; a
     group's term is C^_g[index] times the +-1 samples of its sign plane.
     Groups are numbered in string order, and `batches` builds their planes,
-    `string_planes(g << K)`, in blocks of at most _BLOCK_TICKS, so the
+    `string_planes(g << K)`, `WireBank.rows_per_block` at a time, so the
     working set is O(T + 2^K) words.
     """
 
@@ -433,7 +400,7 @@ class _SpectralSplit:
 
     def batches(self):
         """(first group, sign planes of the next groups), block by block."""
-        per_block = max(1, _BLOCK_TICKS // max(64, self.bank.n_ticks))
+        per_block = self.bank.rows_per_block
         for first in range(0, len(self.highs), per_block):
             yield first, self.bank.string_planes(self.highs[first : first + per_block] << self.low_bits)
 
@@ -517,7 +484,7 @@ def zero_fraction(sys: ReferenceSystem, y: Superposition, ticks: int) -> Report:
         return int(raw.count(raw.pattern_planes(y.offset, y.free)[0]))
 
     fraction = sum(map_window(sys, count_window(ticks), consume)) / ticks
-    k = y.free_bit_count
+    k = y.free.bit_count()
     expected = 1.0 - 0.5**k
     tolerance = 5.0 * sqrt(expected * (1.0 - expected) / ticks)
     return Report([StatEntry("zero_fraction", fraction, expected, tolerance, ticks)])

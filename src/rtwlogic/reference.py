@@ -27,6 +27,9 @@ DEFAULT_SEED = 42
 # planes. Chunks are whole 64-tick words, so the planes of consecutive
 # chunks concatenate to those of the window.
 _CHUNK_SAMPLES = 1 << 22
+# Plane ticks per block of planes built from one bank (512 KiB of packed
+# bits): it bounds their working set whatever the row count.
+_BLOCK_TICKS = 1 << 22
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -130,6 +133,11 @@ class WireBank:
     @property
     def n_bits(self) -> int:
         return self.planes.shape[0]
+
+    @property
+    def rows_per_block(self) -> int:
+        """Planes of this bank's ticks per block of _BLOCK_TICKS, at least one."""
+        return max(1, _BLOCK_TICKS // max(64, 8 * self.planes.shape[-1]))
 
     def apply(self, prog: InsertionProgram | None) -> "WireBank":
         """The effective wires under a program's NOT insertions, in new

@@ -53,12 +53,6 @@ class Report:
     def failures(self) -> list:
         return [e for e in self.entries if not e.passed]
 
-    def entry(self, name: str):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {"pass": self.passed, "entries": [e.to_dict() for e in self.entries]}
 

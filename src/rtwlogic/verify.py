@@ -35,7 +35,7 @@ from .compiler import (
     parse_circuit,
     random_cascade,
 )
-from .hyperspace import _BLOCK_TICKS, Superposition, oracle_apply, superposition_signal
+from .hyperspace import Superposition, oracle_apply, superposition_signal
 from .reference import DEFAULT_SEED, ReferenceSystem, WireBank, count_window, gather_string_planes, map_window
 from .report import Report
 
@@ -126,7 +126,7 @@ def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[Equivalen
     on the seed and the channel. Before anything is drawn, a case is refused
     whose three widths differ or exceed the system's. A chunk's cases go
     in batches that fit 2N wire and 2 * 64 term planes a case into `rows`,
-    the planes of _BLOCK_TICKS plane ticks (at least one case), and each
+    the chunk's `WireBank.rows_per_block` (at least one case), and each
     batch's terms are proved `rows` planes at a time: memory is bounded by
     the chunk. A map's image is built once, where the planes cannot prove it.
     """
@@ -142,7 +142,7 @@ def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[Equivalen
 
     def consume(lo: int, raw: WireBank) -> list:
         found = []
-        rows = max(1, _BLOCK_TICKS // (raw.planes.shape[-1] * 8))
+        rows = raw.rows_per_block
         per_batch = max(1, rows // (2 * sys.n_bits + 2 * _TERMWISE_MAX_TERMS))
         for first in range(0, len(cases), per_batch):
             batch = cases[first : first + per_batch]
@@ -191,7 +191,7 @@ def _equal_on_planes(raws: list[WireBank], banks: list[WireBank], cases, rows: i
             owners += [i] * len(terms)
             strings += terms
             images += expected.apply_all(terms)
-        elif y.is_pattern and expected.is_pattern and y.free_bit_count == expected.free_bit_count:
+        elif y.is_pattern and expected.is_pattern and y.free.bit_count() == expected.free.bit_count():
             zero_a, sign_a = bank.pattern_planes(y.offset, y.free)
             zero_b, sign_b = raw.pattern_planes(expected.offset, expected.free)
             equal[i] = not raw.count((zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b)))

@@ -229,6 +229,20 @@ def test_seed_flag_rejects_seeds_outside_64_bits(seed, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("stats", "--n", "\u0663"), ("stats", "--ticks", "6_4"), ("stats", "--n", "+3"), ("stats", "--n", " 3"),
+     ("verify", "--seed", "4_2"), ("verify", "--seed", "\uff14\uff12")],
+    ids=["arabic-indic width", "underscore ticks", "plus width", "space width", "underscore seed", "fullwidth seed"],
+)
+def test_integer_options_are_ascii_decimal_digits_only(command, flag, value, capsys):
+    # int() reads each of these: stats ran on 3 bits, and verify on seed 42.
+    argv = {"stats": ["stats", "--n", "3", "--ticks", "64"], "verify": ["verify"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2 and f"argument {flag}: invalid" in capsys.readouterr().err
+
+
 def test_random_seed_flag_prints_the_drawn_seed(tmp_path, capsys):
     out_path = tmp_path / "t.csv"
     code, out, _ = run(

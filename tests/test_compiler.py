@@ -7,6 +7,7 @@ about affine maps and compiled programs is checked against it.
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ def test_parse_rejects_self_controlled_cnot():
 def test_parse_rejects_malformed_lines(text):
     with pytest.raises(CircuitParseError):
         parse_circuit(text)
+
+
+@pytest.mark.parametrize(
+    "token", ["1_1", "+1", "\uff10", "\u0663", "1\u0660"],
+    ids=["underscore", "plus", "fullwidth 0", "arabic-indic 3", "arabic-indic 10"],
+)
+def test_parse_reads_an_index_as_ascii_decimal_digits_only(token):
+    # int() reads each of these; 1_1 was bit 11 and the fullwidth 0 bit 0.
+    with pytest.raises(CircuitParseError, match=re.escape(f"line 2: bad index {token!r}")):
+        parse_circuit(f"NOT 0\nCNOT 0 {token}")
 
 
 def test_parse_error_reports_line_number():
@@ -287,6 +298,21 @@ def test_inverse_round_trips():
     inv = amap.inverse()
     for s in range(16):
         assert inv.apply(amap.apply(s)) == s
+
+
+def test_is_invertible_exactly_when_the_inverse_exists():
+    # Every 3-bit row tuple, 168 of them invertible, and a seeded sample of 4-bit ones.
+    rng = random.Random(27)
+    maps = [AffineMapGF2(3, rows) for rows in itertools.product(range(8), repeat=3)]
+    maps += [AffineMapGF2(4, tuple(rng.randrange(16) for _ in range(4))) for _ in range(2000)]
+    for amap in maps:
+        try:
+            amap.inverse()
+        except ValueError:
+            assert not amap.is_invertible(), amap
+        else:
+            assert amap.is_invertible(), amap
+    assert sum(amap.is_invertible() for amap in maps[:512]) == 168
 
 
 def test_singular_map_detected():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtwlogic import hyperspace
+from rtwlogic import hyperspace, reference
 from rtwlogic.compiler import (
     AffineMapGF2,
     GateCircuit,
@@ -88,20 +88,20 @@ def test_explicit_rejects_out_of_range_strings():
 
 
 def test_pattern_counts():
-    y = Superposition.pattern(((1,), (0, 1), (0, 1)))
-    assert y.is_pattern and y.term_count == 4 and y.free_bit_count == 2
+    y = Superposition(3, offset=0b001, free=0b110)
+    assert y.is_pattern and y.term_count == 4 and y.free.bit_count() == 2
     assert y.coefficient(parse_bits("110")) == 1
     assert y.coefficient(parse_bits("010")) == 0
 
 
 def test_universe_counts_every_string():
     u = Superposition.universe(4)
-    assert u.term_count == 16 and u.free_bit_count == 4
+    assert u.term_count == 16 and u.free == 0b1111
     assert all(u.coefficient(s) == 1 for s in range(16))
 
 
 def test_expand_agrees_with_pattern_coefficients():
-    y = Superposition.pattern(((0, 1), (1,), (0, 1)))
+    y = Superposition(3, offset=0b010, free=0b101)
     flat = y.expand()
     assert flat.term_count == 4
     assert all(flat.coefficient(s) == y.coefficient(s) for s in range(8))
@@ -115,8 +115,8 @@ def test_expand_budget_guard():
 
 def test_coefficient_sums():
     y = Superposition.explicit(3, {0: 2, 5: -3})
-    assert y.abs_coeff_sum() == 5 and y.sq_coeff_sum() == 13
-    assert Superposition.universe(5).abs_coeff_sum() == 32
+    assert y.sq_coeff_sum() == 13
+    assert Superposition.universe(5).sq_coeff_sum() == 32
 
 
 def test_merge_adds_coefficients():
@@ -262,47 +262,46 @@ def test_direct_construction_normalizes_like_explicit(args):
     assert dict(y.terms) == {s: c for s, c in sums.items() if c}
 
 
-def test_allowed_values_are_normalized():
+def test_pattern_masks_are_normalized():
     want = Superposition(3, offset=0b100, free=0b001)
-    for allowed in ([[1, 0], [0], [1]], [(1, 0), (0, 0), [1, 1]], [{0, 1}, [0], (1,)]):
-        y = Superposition.pattern(allowed)
+    for offset, free in ((np.uint8(4), np.int64(1)), (np.int64(4), 1), (4, np.uint8(1))):
+        y = Superposition(3, offset=offset, free=free)
         assert y == want and hash(y) == hash(want)
-        assert (y.offset, y.free) == (0b100, 0b001)
-    assert Superposition.pattern(((0, 1), (0,), (1,))) == want
+        assert type(y.offset) is int and type(y.free) is int
+    assert parse_superposition("*01") == want
 
 
 def per_bit_coefficient(allowed, string: int) -> int:
     """1 where every bit of the string is one of that bit's allowed values."""
-    return int(all((string >> bit) & 1 in set(vals) for bit, vals in enumerate(allowed)))
+    return int(all((string >> bit) & 1 in vals for bit, vals in enumerate(allowed)))
 
 
 @st.composite
-def allowed_lists(draw):
-    """Per-bit allowed values over 1 to 8 bits, pairs in either order, some
-    as NumPy integers."""
+def pattern_masks(draw):
+    """(n_bits, offset, free) over 1 to 8 bits with offset & free == 0, both
+    masks of one type: int or a NumPy integer."""
     n_bits = draw(st.integers(1, 8))
-    values = st.sampled_from([(0,), (1,), (0, 1), (1, 0), (0, 0), (1, 1, 0)])
-    as_numpy = st.sampled_from([int, np.int64, np.uint8])
-    return [tuple(map(draw(as_numpy), draw(values))) for _ in range(n_bits)]
+    free = draw(st.integers(0, (1 << n_bits) - 1))
+    offset = draw(st.integers(0, (1 << n_bits) - 1)) & ~free
+    as_type = draw(st.sampled_from([int, np.int64, np.uint8]))
+    return n_bits, as_type(offset), as_type(free)
 
 
 @settings(max_examples=200, deadline=None)
-@given(allowed_lists())
-@example([(1, 0)] * 8)
-@example([(np.uint8(1),)])
-def test_pattern_masks_match_the_per_bit_definition(allowed):
-    y = Superposition.pattern(allowed)
-    n_bits = len(allowed)
+@given(pattern_masks())
+@example((8, 0, 0xFF))
+@example((1, np.uint8(1), np.uint8(0)))
+def test_pattern_masks_match_the_per_bit_definition(masks):
+    n_bits, offset, free = masks
+    y = Superposition(n_bits, offset=offset, free=free)
     assert type(y.offset) is int and type(y.free) is int
-    term_count = 1
-    for vals in allowed:
-        term_count *= len(set(vals))
-    assert y.term_count == term_count
-    assert y.free_bit_count == sum(len(set(vals)) == 2 for vals in allowed)
+    # Bit i allows both values where it is free, else the offset's bit.
+    allowed = [(0, 1) if int(free) >> bit & 1 else (int(offset) >> bit & 1,) for bit in range(n_bits)]
+    assert y.term_count == 2 ** sum(len(vals) == 2 for vals in allowed)
     coefficients = [per_bit_coefficient(allowed, s) for s in range(1 << n_bits)]
     assert [y.coefficient(s) for s in range(1 << n_bits)] == coefficients
     assert y.expand().terms == tuple((s, 1) for s, c in enumerate(coefficients) if c)
-    text = "".join("*" if len(set(vals)) == 2 else str(int(vals[0])) for vals in allowed)
+    text = "".join("*" if len(vals) == 2 else str(vals[0]) for vals in allowed)
     assert y.to_text() == ("universe" if set(text) == {"*"} else text)
     # A pattern without free bits is one string, whose text reads as a one-term sum.
     assert parse_superposition(y.to_text(), n_bits=n_bits) == (y if y.free else y.expand())
@@ -320,24 +319,14 @@ def test_pattern_masks_match_the_per_bit_definition(allowed):
         ({"offset": 0b011, "free": 0b110}, "sets free bits"),
         ({"offset": 1.0}, "integer"),
         ({"offset": 0, "free": True}, "integer"),
+        ({"n_bits": 0, "offset": 0}, "n_bits 0 out of range"),
     ],
     ids=["both forms", "neither form", "free with terms", "offset too wide", "free too wide", "negative offset",
-         "overlap", "float offset", "bool free"],
+         "overlap", "float offset", "bool free", "no bits"],
 )
 def test_the_constructor_refuses_an_ill_formed_pattern(kwargs, match):
     with pytest.raises(ValueError, match=match):
-        Superposition(3, **kwargs)
-
-
-@pytest.mark.parametrize(
-    "allowed, match",
-    [([], "n_bits 0 out of range"), ([(0,), ()], "bad allowed-value set"), ([(2,)], "bad allowed-value set"),
-     ([(0, 1, 2)], "bad allowed-value set")],
-    ids=["no bits", "no value", "value 2", "three values"],
-)
-def test_pattern_refuses_bad_allowed_values(allowed, match):
-    with pytest.raises(ValueError, match=match):
-        Superposition.pattern(allowed)
+        Superposition(**{"n_bits": 3, **kwargs})
 
 
 # -- text format ----------------------------------------------------------------
@@ -356,7 +345,7 @@ def test_parse_single_string_is_a_singleton():
 def test_parse_pattern_star_means_either_value():
     y = parse_superposition("1*0")
     assert y.is_pattern and (y.offset, y.free) == (0b001, 0b010)
-    assert y == Superposition.pattern(((1,), (0, 1), (0,)))
+    assert y == Superposition(3, offset=0b001, free=0b010)
 
 
 def test_lone_chunk_with_star_reads_as_pattern_even_if_coeff_shaped():
@@ -371,12 +360,23 @@ def test_parse_term_list_with_coefficients():
     assert y.coefficient(parse_bits("101")) == 1
     assert y.coefficient(parse_bits("110")) == 2
     assert y.coefficient(parse_bits("001")) == -1
+    assert parse_superposition("+2*101;") == Superposition.explicit(3, {0b101: 2})
 
 
 @pytest.mark.parametrize("bad", ["", "10;2", "abc", "10*;11", "101;11", "2"])
 def test_parse_rejects_malformed_specs(bad):
     with pytest.raises(ValueError):
         parse_superposition(bad)
+
+
+@pytest.mark.parametrize(
+    "text", ["\u0661*101;", "-\u0663*101;110", "\uff12*10;01"],
+    ids=["arabic-indic 1", "signed arabic-indic 3", "fullwidth 2"],
+)
+def test_a_coefficient_is_ascii_decimal_digits_only(text):
+    # `\d` and int() read the digits of other scripts: the first was coefficient 1.
+    with pytest.raises(ValueError, match="bad superposition chunk"):
+        parse_superposition(text)
 
 
 def test_parse_checks_width_against_context():
@@ -405,8 +405,8 @@ def test_width_error_on_a_lone_term_says_how_to_write_it():
         lambda: Superposition.explicit(2, [(1, 2), (1, np.float64(1.0))]),
         lambda: Superposition(2, terms=((1, 1.5),)),
         lambda: Superposition.explicit(2, {True: 1}),
-        lambda: Superposition.pattern([(True,), (0, 1)]),
-        lambda: Superposition.pattern(((1.0,), (0, 1))),
+        lambda: Superposition(2, offset=True, free=0b10),
+        lambda: Superposition(2, offset=1.0, free=0b10),
         lambda: Superposition.explicit(2, {"a": 1, 1: 1}),
         lambda: Superposition.explicit(2, {1: 1, "a": 1}),
         lambda: Superposition.explicit(2, {None: 1, 0: 1}),
@@ -457,7 +457,7 @@ def wide_explicit_superpositions():
 
 
 def pattern_superpositions():
-    return st.lists(st.sampled_from([(0,), (1,), (0, 1)]), min_size=1, max_size=8).map(Superposition.pattern)
+    return pattern_masks().map(lambda masks: Superposition(masks[0], offset=masks[1], free=masks[2]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -526,21 +526,31 @@ def test_universe_signal_values_are_zero_or_full_scale():
         assert set(np.unique(signal)) <= {0, -(1 << n_bits), 1 << n_bits}
 
 
-def test_pattern_signal_equals_expanded_signal(sys3):
-    for allowed in (((0, 1), (1,), (0, 1)), ((0,), (0, 1), (1,)), ((0, 1),) * 3):
-        y = Superposition.pattern(allowed)
+# Chunks of 128 ticks at 3 bits (see `many_chunks`): 1000 ticks are eight
+# chunks, the last of 104 ticks, which ends off a 64-tick word.
+LONG_WINDOW = tick_range(1000)
+
+
+@pytest.fixture
+def many_chunks(monkeypatch):
+    monkeypatch.setattr(reference, "_CHUNK_SAMPLES", 1 << 10)
+
+
+def test_pattern_signal_equals_expanded_signal(sys3, many_chunks):
+    for offset, free in ((0b010, 0b101), (0b100, 0b010), (0, 0b111), (0b101, 0)):
+        y = Superposition(3, offset=offset, free=free)
         assert np.array_equal(
-            superposition_sample(sys3, None, y, WINDOW),
-            superposition_sample(sys3, None, y.expand(), WINDOW),
+            superposition_sample(sys3, None, y, LONG_WINDOW),
+            superposition_sample(sys3, None, y.expand(), LONG_WINDOW),
         )
 
 
-def test_pattern_signal_equals_expanded_signal_under_program(sys3):
+def test_pattern_signal_equals_expanded_signal_under_program(sys3, many_chunks):
     prog = compile_circuit(parse_circuit("NOT 0\nCNOT 0 2", n_bits=3))
-    y = Superposition.pattern(((0, 1), (1,), (0, 1)))
+    y = Superposition(3, offset=0b010, free=0b101)
     assert np.array_equal(
-        superposition_sample(sys3, prog, y, WINDOW),
-        superposition_sample(sys3, prog, y.expand(), WINDOW),
+        superposition_sample(sys3, prog, y, LONG_WINDOW),
+        superposition_sample(sys3, prog, y.expand(), LONG_WINDOW),
     )
 
 
@@ -549,7 +559,7 @@ def test_pattern_signal_equals_expanded_signal_under_program(sys3):
 def test_signal_is_bounded_by_total_coefficient_weight(y):
     sysn = ReferenceSystem(y.n_bits, 42)
     signal = superposition_sample(sysn, None, y, tick_range(64))
-    assert int(np.abs(signal).max(initial=0)) <= y.abs_coeff_sum()
+    assert int(np.abs(signal).max(initial=0)) <= sum(abs(c) for _, c in y.terms)
 
 
 def test_signal_is_linear_in_the_superposition(sys3):
@@ -596,13 +606,13 @@ def test_oracle_is_linear():
 # -- statistical readouts -------------------------------------------------------
 
 def test_zero_fraction_is_exactly_zero_for_fixed_strings():
-    y = Superposition.pattern(((1,), (0,), (1,)))
+    y = Superposition(3, offset=0b101, free=0)
     entry = zero_fraction(ReferenceSystem(3, 42), y, 4096).entries[0]
     assert entry.estimate == 0.0 and entry.expected == 0.0 and entry.passed
 
 
 def test_zero_fraction_single_free_bit_is_half():
-    y = Superposition.pattern(((0, 1), (0,), (1,)))
+    y = Superposition(3, offset=0b100, free=0b001)
     entry = zero_fraction(ReferenceSystem(3, 42), y, 200_000).entries[0]
     assert entry.expected == 0.5 and entry.passed
 

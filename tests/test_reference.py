@@ -185,9 +185,10 @@ def test_orthogonality_report_structure_and_pass():
     # 4 wires: 4 means + 4 squares + 6 pair products + 12 correlations
     assert len(report.entries) == 26
     assert report.passed and not report.failures()
-    square = report.entry("mean[W(0, 0)^2]")
+    entries = {e.name: e for e in report.entries}
+    square = entries["mean[W(0, 0)^2]"]
     assert square.estimate == 1.0 and square.tolerance == 0.0
-    mean = report.entry("mean[W(0, 0)]")
+    mean = entries["mean[W(0, 0)]"]
     assert mean.tolerance == pytest.approx(5.0 / np.sqrt(200_000))
 
 

@@ -105,8 +105,9 @@ def test_universe_invariance_for_cnot_cascades():
 
 
 def random_pattern(rng: random.Random, n_bits: int, free: int) -> Superposition:
-    free_bits = set(rng.sample(range(n_bits), free))
-    return Superposition.pattern([(0, 1) if b in free_bits else (rng.randint(0, 1),) for b in range(n_bits)])
+    free_mask = sum(1 << b for b in rng.sample(range(n_bits), free))
+    offset = sum(rng.randint(0, 1) << b for b in range(n_bits) if not free_mask >> b & 1)
+    return Superposition(n_bits, offset=offset, free=free_mask)
 
 
 def test_packed_pattern_compare_matches_the_int64_compare():
@@ -264,7 +265,7 @@ def test_batched_proof_matches_each_integer_comparison(specs, seed, ticks, budge
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reference, "_CHUNK_SAMPLES", 64 * 2 * width)
-        patch.setattr(verify, "_BLOCK_TICKS", 64 * budget)
+        patch.setattr(reference, "_BLOCK_TICKS", 64 * budget)
         patch.setattr(verify, "_first_mismatch", integer_path)
         got = _bank_equivalence(ReferenceSystem(width, seed), cases, ticks)
     assert got == [integer_result(case, seed, ticks) for case in cases]
@@ -311,7 +312,7 @@ def test_equivalence_memory_is_bounded_by_the_batch_not_the_case_count():
         finally:
             tracemalloc.stop()
         assert len(results) == count and all(r.passed for r in results)
-    assert peaks[40] - peaks[5] < verify._BLOCK_TICKS // 8 * 1.1, peaks
+    assert peaks[40] - peaks[5] < reference._BLOCK_TICKS // 8 * 1.1, peaks
 
 
 def test_a_case_with_more_term_planes_than_a_block_is_proved_in_blocks():
@@ -329,7 +330,7 @@ def test_a_case_with_more_term_planes_than_a_block_is_proved_in_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.passed and peak < 6 * (verify._BLOCK_TICKS // 8), peak
+    assert result.passed and peak < 6 * (reference._BLOCK_TICKS // 8), peak
 
 
 def test_cases_checked_together_match_each_checked_alone(monkeypatch):

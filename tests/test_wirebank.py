@@ -85,8 +85,8 @@ def circuits(draw, n_bits):
 def superpositions(draw, n_bits):
     # The reference expands a pattern into its strings, so patterns stay small.
     if n_bits <= 5 and draw(st.booleans()):
-        allowed = draw(st.lists(st.sampled_from([(0,), (1,), (0, 1)]), min_size=n_bits, max_size=n_bits))
-        return Superposition.pattern(allowed)
+        free = draw(st.integers(0, (1 << n_bits) - 1))
+        return Superposition(n_bits, offset=draw(st.integers(0, (1 << n_bits) - 1)) & ~free, free=free)
     return draw(explicit_sums(n_bits, max_terms=6))
 
 
@@ -175,14 +175,14 @@ def test_strings_of_many_banks_are_gathered_like_each_alone(data):
     assert np.array_equal(got, np.array(rows, dtype=np.uint8).reshape(len(rows), got.shape[-1]))
 
 
-def per_bit_pattern_planes(bank: WireBank, allowed) -> tuple[np.ndarray, np.ndarray]:
+def per_bit_pattern_planes(bank: WireBank, offset: int, free: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero and sign planes of a pattern built one bit at a time: the OR of
-    each free bit's wire XOR, and the XOR of each bit's first allowed wire."""
+    each free bit's wire XOR, and the XOR of each bit's offset wire."""
     zero = np.zeros(bank.planes.shape[-1], dtype=np.uint8)
     sign = zero.copy()
-    for bit, vals in enumerate(allowed):
-        sign ^= bank.planes[bit, vals[0]]
-        if len(vals) == 2:
+    for bit in range(bank.n_bits):
+        sign ^= bank.planes[bit, offset >> bit & 1]
+        if free >> bit & 1:
             zero |= bank.planes[bit, 0] ^ bank.planes[bit, 1]
     return zero, sign
 
@@ -194,16 +194,15 @@ def test_pattern_planes_match_the_per_bit_construction(data):
     # effective wires over windows that are empty, shorter than one word or
     # ragged at 64 ticks; the padding bits of both planes read zero.
     n_bits = data.draw(st.integers(1, MAX_BITS))
-    kind = data.draw(st.sampled_from(["fixed", "mixed", "universe"]))
-    values = {"fixed": [(0,), (1,)], "mixed": [(0,), (1,), (0, 1)], "universe": [(0, 1)]}[kind]
-    allowed = data.draw(st.lists(st.sampled_from(values), min_size=n_bits, max_size=n_bits))
+    full = (1 << n_bits) - 1
+    free = data.draw(st.one_of(st.just(0), st.integers(0, full), st.just(full)))
+    offset = data.draw(st.integers(0, full)) & ~free
     start = data.draw(st.integers(0, 2**64 - 200))
     length = data.draw(st.one_of(st.sampled_from([0, 1, 7, 63, 64, 65, 127, 128, 129]), st.integers(0, 200)))
     bank = WireBank.draw(ReferenceSystem(n_bits, data.draw(st.integers(0, 2**64 - 1))), range(start, start + length))
     bank = bank.apply(compile_circuit(data.draw(circuits(n_bits))))
-    y = Superposition.pattern(allowed)
-    zero, sign = bank.pattern_planes(y.offset, y.free)
-    want_zero, want_sign = per_bit_pattern_planes(bank, allowed)
+    zero, sign = bank.pattern_planes(offset, free)
+    want_zero, want_sign = per_bit_pattern_planes(bank, offset, free)
     assert zero.dtype == sign.dtype == np.uint8 and zero.shape == sign.shape == want_zero.shape
     assert np.array_equal(zero, want_zero) and np.array_equal(sign, want_sign)
     padding = np.unpackbits(np.stack([zero, sign]), axis=-1, bitorder="little")[:, length:]
@@ -364,7 +363,7 @@ def budget_superpositions() -> list[Superposition]:
 @pytest.mark.parametrize("circuit", [None, GateCircuit(6, (cnot(0, 3), not_gate(2), cnot(3, 5), cnot(5, 1)))])
 def test_signals_are_exact_at_the_coefficient_budget(y, circuit):
     # Every butterfly partial sum is bounded by sum |c| = 2^62, so int64 holds it.
-    assert y.abs_coeff_sum() == 1 << 62
+    assert sum(abs(c) for _, c in y.terms) == 1 << 62
     system, ticks = ReferenceSystem(6, 99), 200
     window = tick_range(ticks)
     prog = compile_circuit(circuit) if circuit is not None else None
@@ -390,7 +389,7 @@ def test_readouts_equal_the_int64_computation(ticks):
     prog = compile_circuit(GateCircuit(6, (cnot(0, 3), not_gate(2), cnot(3, 5), cnot(5, 1))))
     window = tick_range(ticks)
     explicit = Superposition.explicit(6, {0b000101: 3, 0b110010: -2, 0b011111: 1, 0b100000: 2})
-    pattern = Superposition.pattern([(0, 1), (1,), (0, 1), (0,), (0, 1), (0, 1)])
+    pattern = Superposition(6, offset=0b000010, free=0b110101)
     probes = ((explicit, 0b000101), (explicit, 0b111111), (pattern, 0b010110), (pattern, 0b000001))
     for program, (y, probe) in itertools.product((prog, None), probes):
         signal = superposition_sample(system, program, y, window)
