@@ -105,12 +105,20 @@ MUTANTS = [
         "insertions += (Insertion(t, 0, t),)",
         ("tests/test_compiler.py",),
     ),
-    # The plane proof: two patterns compared on their zero planes alone.
+    # The plane proof: the empty string is left out of the generators.
     Mutant(
-        "pattern pair proved without its signs",
+        "generators without the empty string",
         "src/rtwlogic/verify.py",
-        "not raw.count((zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b)))",
-        "not raw.count(zero_a ^ zero_b)",
+        "generators = [0, *(1 << j for j in range(amap.n_bits))]",
+        "generators = [*(1 << j for j in range(amap.n_bits))]",
+        ("tests/test_verify.py",),
+    ),
+    # The plane proof: the top bit's unit string is left out of the generators.
+    Mutant(
+        "generators without the top bit",
+        "src/rtwlogic/verify.py",
+        "generators = [0, *(1 << j for j in range(amap.n_bits))]",
+        "generators = [0, *(1 << j for j in range(amap.n_bits - 1))]",
         ("tests/test_verify.py",),
     ),
     # The plane proof: the last slice of term rows is never compared.
@@ -125,8 +133,8 @@ MUTANTS = [
     Mutant(
         "term owners shifted by one",
         "src/rtwlogic/verify.py",
-        "owners += [i] * len(terms)",
-        "owners += [i + 1] * len(terms)",
+        "owners += [i] * len(generators)",
+        "owners += [i + 1] * len(generators)",
         ("tests/test_verify.py",),
     ),
     # The gather: every row reads the first bank.
@@ -231,6 +239,22 @@ MUTANTS = [
         "src/rtwlogic/hyperspace.py",
         "int(not (int(string) ^ self.offset) & ~self.free)",
         "int(not (int(string) ^ self.offset))",
+        ("tests/test_hyperspace.py",),
+    ),
+    # The oracle: a pattern's image keeps the free bits of f(offset) in its offset.
+    Mutant(
+        "pattern image offset without its free bits cleared",
+        "src/rtwlogic/hyperspace.py",
+        "offset=affine.apply(y.offset) & ~spread,",
+        "offset=affine.apply(y.offset),",
+        ("tests/test_hyperspace.py",),
+    ),
+    # The oracle: a pattern under a singular map is mapped as a pattern.
+    Mutant(
+        "pattern rule without its invertibility test",
+        "src/rtwlogic/hyperspace.py",
+        " and affine.is_invertible():",
+        ":",
         ("tests/test_hyperspace.py",),
     ),
     # Patterns: expansion skips the lowest bit.

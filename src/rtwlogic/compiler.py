@@ -445,6 +445,7 @@ def conjecture_scan(n_gates: int, n_bits: int, samples: int, seed: int = 0) -> C
     _check_int(n_gates, "n_gates", 1)
     _check_int(n_bits, "n_bits", 2)  # a CNOT needs two bits
     _check_int(samples, "samples", 1)
+    _check_int(seed, "seed", 0, 1 << 64)  # random.Random would take abs(seed), and floats
     rng = random.Random(seed)
     report = ConjectureScanReport(n_gates, n_bits, samples, seed)
     for _ in range(samples):

@@ -462,9 +462,15 @@ def _check_string(string: int, n_bits: int) -> None:
 
 def oracle_apply(affine: AffineMapGF2, y: Superposition) -> Superposition:
     """Bit-level oracle: push every string through the map, merging
-    coefficients of colliding images."""
+    coefficients of colliding images. Under an invertible map, a pattern
+    whose free bits feed as many output bits U (so L spans every string of
+    U) maps unexpanded to the pattern of offset f(offset) & ~U, free U."""
     if affine.n_bits != y.n_bits:
         raise ValueError(f"map n_bits={affine.n_bits} does not match superposition n_bits={y.n_bits}")
+    if y.is_pattern:
+        spread = sum(1 << t for t, row in enumerate(affine.rows) if row & y.free)
+        if spread.bit_count() == y.free.bit_count() and affine.is_invertible():
+            return Superposition(y.n_bits, offset=affine.apply(y.offset) & ~spread, free=spread)
     terms = y.expand().terms
     return Superposition.explicit(y.n_bits, zip(affine.apply_all([s for s, _ in terms]), [c for _, c in terms]))
 

@@ -10,10 +10,10 @@ Checks that share a seed share one draw of the wires: the canonical suite
 runs its six circuits on one bank, and the random trials of a seed run in
 one pass over a system as wide as the widest trial, a trial of n bits on
 the first n bits' wires. Those are the wires of an n-bit system at that
-seed, so every result is the one its check gives alone. A chunk is first
-compared on packed sign planes, pattern against pattern or term against
-oracle image, a batch of cases at a time; only a case not proved equal there
-is evaluated as integers, so a first mismatch is always an integer one.
+seed, so every result is the one its check gives alone. A chunk first
+proves on packed sign planes, a batch of cases at a time, that each program
+realizes its circuit's map; only a case not proved there is evaluated as
+integers, so a first mismatch is always an integer one.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ DEFAULT_TICKS = 1024
 TRIAL_MAX_GATES = 12
 TRIAL_MAX_BITS = 8
 TRIAL_MAX_TERMS = 32
-
-# Explicit sums of at most this many terms are first compared term by term
-# (`_equal_on_planes`): the packed planes of 64 terms take as many bytes as
-# one int64 signal of the same ticks.
-_TERMWISE_MAX_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -96,17 +91,16 @@ def signal_equivalence_check(
 def universe_invariance_check(
     sys: ReferenceSystem, circ: GateCircuit, ticks: int = DEFAULT_TICKS
 ) -> EquivalenceResult:
-    """Factorized universe signal with and without the compiled program.
+    """Universe signal with and without the compiled program.
 
-    A CNOT-only cascade permutes the 2^N strings, so the full sum is
-    unchanged; both sides are evaluated in factorized form at O(N) per
-    tick, never touching the 2^N summands.
+    A CNOT-only cascade permutes the 2^N strings, so the full sum is its
+    own oracle image. Where the planes do not prove the program, both
+    sides are evaluated in factorized form at O(N) per tick, never
+    touching the 2^N summands.
     """
     if not circ.is_pure_cnot:
         raise ValueError("universe invariance is stated for CNOT-only cascades")
-    universe = Superposition.universe(circ.n_bits)
-    case = (compile_to_insertions(circuit_to_affine(circ)), universe, universe)
-    return _bank_equivalence(sys, [case], ticks)[0]
+    return _bank_equivalence(sys, [_oracle_case(circ, Superposition.universe(circ.n_bits))], ticks)[0]
 
 
 def _oracle_case(circ: GateCircuit, y: Superposition) -> tuple[InsertionProgram, Superposition, AffineMapGF2]:
@@ -116,39 +110,40 @@ def _oracle_case(circ: GateCircuit, y: Superposition) -> tuple[InsertionProgram,
 
 
 def _bank_equivalence(sys: ReferenceSystem, cases, ticks: int) -> list[EquivalenceResult]:
-    """Per case `(prog, y, expected)`: the signal of `y` on the program's
-    wires vs, on the raw wires, that of `expected` or, for a map, of its
-    oracle image of `y`; every case from one draw of the system's raw bank,
-    chunk by chunk; the first mismatch in tick order is kept per case.
+    """Per case `(prog, y, amap)`: the signal of `y` on the program's wires
+    vs that of its oracle image under the map on the raw wires; every case
+    from one draw of the system's raw bank, chunk by chunk; the first
+    mismatch in tick order is kept per case.
 
     A case of n bits reads the first n bits' wires of each chunk, which are
     the wires of `ReferenceSystem(n, sys.seed)`: a stream key depends only
     on the seed and the channel. Before anything is drawn, a case is refused
     whose three widths differ or exceed the system's. A chunk's cases go
-    in batches that fit 2N wire and 2 * 64 term planes a case into `rows`,
-    the chunk's `WireBank.rows_per_block` (at least one case), and each
-    batch's terms are proved `rows` planes at a time: memory is bounded by
-    the chunk. A map's image is built once, where the planes cannot prove it.
+    in batches that fit 2N wire and 2(N + 1) generator planes a case into
+    `rows`, the chunk's `WireBank.rows_per_block` (at least one case), and
+    each batch's generators are proved `rows` planes at a time: memory is
+    bounded by the chunk. A case's oracle image is built once, where the
+    planes cannot prove it.
     """
-    for prog, y, expected in cases:
-        if not prog.n_bits == y.n_bits == expected.n_bits <= sys.n_bits:
-            widths = f"(program, y, expected_y) n_bits={prog.n_bits, y.n_bits, expected.n_bits}"
+    for prog, y, amap in cases:
+        if not prog.n_bits == y.n_bits == amap.n_bits <= sys.n_bits:
+            widths = f"(program, y, map) n_bits={prog.n_bits, y.n_bits, amap.n_bits}"
             raise ValueError(f"case {widths} does not match system n_bits={sys.n_bits}")
 
     @cache
     def expected_y(i: int) -> Superposition:
-        _, y, expected = cases[i]
-        return oracle_apply(expected, y) if isinstance(expected, AffineMapGF2) else expected
+        _, y, amap = cases[i]
+        return oracle_apply(amap, y)
 
     def consume(lo: int, raw: WireBank) -> list:
         found = []
         rows = raw.rows_per_block
-        per_batch = max(1, rows // (2 * sys.n_bits + 2 * _TERMWISE_MAX_TERMS))
+        per_batch = max(1, rows // (2 * sys.n_bits + 2 * (sys.n_bits + 1)))
         for first in range(0, len(cases), per_batch):
             batch = cases[first : first + per_batch]
             raws = [WireBank(raw.planes[: prog.n_bits], raw.n_ticks) for prog, _, _ in batch]
             banks = [case_raw.apply(prog) for case_raw, (prog, _, _) in zip(raws, batch)]
-            equal = _equal_on_planes(raws, banks, batch, rows)
+            equal = _equal_on_planes(raws, banks, [amap for _, _, amap in batch], rows)
             for i, (case_raw, bank, (_, y, _), proved) in enumerate(zip(raws, banks, batch, equal), first):
                 found.append(None if proved else _first_mismatch(lo, case_raw, bank, y, expected_y(i)))
         return found
@@ -168,33 +163,26 @@ def _first_mismatch(
     return mismatch and (lo + mismatch[0], *mismatch[1:])
 
 
-def _equal_on_planes(raws: list[WireBank], banks: list[WireBank], cases, rows: int) -> list[bool]:
-    """Per case of a batch, whether the sign planes prove the signal of `y`
-    on its effective wires `bank` equal to the expected signal on its raw
-    wires `raw` at every tick of the chunk; False where they cannot tell.
+def _equal_on_planes(raws: list[WireBank], banks: list[WireBank], maps: list[AffineMapGF2], rows: int) -> list[bool]:
+    """Per case of a batch, whether the sign planes prove that its wires
+    `bank` realize its map f on its raw wires `raw` at every tick of the
+    chunk; False where they cannot tell.
 
-    Two patterns with k free bits each have signals of 0 or +-2^k: they
-    differ where exactly one is zero, or where neither is and the signs
-    differ. An explicit `y` of up to _TERMWISE_MAX_TERMS terms against a
-    map f is proved where every term's effective plane P'_s equals the raw
-    plane P_f(s): then sum c_s P'_s = sum c_s P_f(s), the signal of the
-    oracle image, since merging colliding images is linear. A correct
-    program makes every such pair equal. The terms of all such cases form
-    one flat list of (case, string, image), compared `rows` planes at a
-    time: each side of a slice is one gather.
+    Every product string is P_s = B ^ XOR_{i in s} N_i
+    (`WireBank.operators`) and f is affine, so D(s) = P'_s ^ P_f(s), the
+    plane of s on `bank` against that of f(s) on `raw`, is affine in s:
+    zero on 0 and on each e_j, it is zero for every s. Then every term of
+    any `y` has its image's plane, so the signals of `y` and of its oracle
+    image are equal (merging colliding images is linear). The n + 1
+    generators of every case form one flat list of (case, string, image),
+    compared `rows` planes at a time: each side of a slice is one gather.
     """
-    equal, owners, strings, images = [False] * len(cases), [], [], []
-    for i, (raw, bank, (_, y, expected)) in enumerate(zip(raws, banks, cases)):
-        if isinstance(expected, AffineMapGF2):
-            equal[i] = not y.is_pattern and y.term_count <= _TERMWISE_MAX_TERMS
-            terms = [s for s, _ in y.terms] if equal[i] else []
-            owners += [i] * len(terms)
-            strings += terms
-            images += expected.apply_all(terms)
-        elif y.is_pattern and expected.is_pattern and y.free.bit_count() == expected.free.bit_count():
-            zero_a, sign_a = bank.pattern_planes(y.offset, y.free)
-            zero_b, sign_b = raw.pattern_planes(expected.offset, expected.free)
-            equal[i] = not raw.count((zero_a ^ zero_b) | (~zero_a & (sign_a ^ sign_b)))
+    equal, owners, strings, images = [True] * len(maps), [], [], []
+    for i, amap in enumerate(maps):
+        generators = [0, *(1 << j for j in range(amap.n_bits))]
+        owners += [i] * len(generators)
+        strings += generators
+        images += amap.apply_all(generators)
     owners = np.array(owners, dtype=np.intp)
     for lo in range(0, len(strings), rows):
         part = slice(lo, lo + rows)
@@ -288,6 +276,7 @@ def random_equivalence_trials(
     _check_int(n_trials, "n_trials", 1)
     _check_int(len(seeds), "the number of seeds", 1)
     count_window(ticks)  # a bad window is refused before anything is drawn
+    _check_int(draw_seed, "draw_seed", 0, 1 << 64)  # random.Random would take abs(seed), and floats
     rng = random.Random(draw_seed)
     trials = []
     for _ in range(n_trials):

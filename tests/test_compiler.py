@@ -489,3 +489,11 @@ def test_scan_report_serializes():
 def test_scan_rejects_counts_that_are_not_integers_in_range(n_gates, n_bits, samples):
     with pytest.raises(ValueError):
         conjecture_scan(n_gates, n_bits, samples)
+
+
+@pytest.mark.parametrize("seed", [-7, 2**64, 7.0, True])
+def test_scan_rejects_a_seed_that_is_not_an_integer_in_range(seed):
+    # random.Random seeds with abs(seed) and takes floats: seed -7 would
+    # return the histogram of seed 7 and record -7.
+    with pytest.raises(ValueError, match="seed"):
+        conjecture_scan(5, 6, 50, seed=seed)

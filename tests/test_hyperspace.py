@@ -1,6 +1,8 @@
 """Superpositions: text format, exact factorized signals vs brute-force
 expansion, the bit-level oracle, and the statistical readouts."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from rtwlogic.compiler import (
     cnot,
     compile_circuit,
     parse_circuit,
+    random_cascade,
 )
 from rtwlogic.hyperspace import (
     ExpansionBudgetError,
@@ -594,6 +597,53 @@ def test_oracle_permutes_the_universe():
     image = oracle_apply(amap, u)
     assert {s for s, _ in image.terms} == set(range(16))
     assert all(c == 1 for _, c in image.terms)
+
+
+def all_patterns(n_bits: int):
+    """Every pattern of n_bits: each bit fixed at 0, fixed at 1 or free."""
+    for free in range(1 << n_bits):
+        for offset in range(1 << n_bits):
+            if not offset & free:
+                yield Superposition(n_bits, offset=offset, free=free)
+
+
+def is_pattern_set(strings: list[int]) -> bool:
+    """Whether the strings are some offset | every submask of some mask."""
+    spread = 0
+    for s in strings:
+        spread |= s ^ strings[0]
+    return len(set(strings)) == 1 << spread.bit_count()
+
+
+@pytest.mark.parametrize("n_bits", range(1, 7))
+def test_a_pattern_maps_to_a_pattern_exactly_when_its_image_is_one(n_bits):
+    # Under invertible maps, NOTs included, every pattern's image expands
+    # to the oracle image of its expansion, and is a pattern exactly when
+    # the brute-force image set is one.
+    rng = random.Random(n_bits)
+    for _ in range(4):
+        amap = circuit_to_affine(random_cascade(rng, n_bits, rng.randint(0, 3 * n_bits), not_rate=0.3))
+        for y in all_patterns(n_bits):
+            image, brute = oracle_apply(amap, y), oracle_apply(amap, y.expand())
+            assert image.expand() == brute
+            assert image.is_pattern == is_pattern_set([s for s, _ in brute.terms])
+    universe = Superposition.universe(n_bits)
+    assert oracle_apply(amap, universe) == universe
+
+
+def test_a_singular_map_expands_a_pattern():
+    # A map that is not invertible may merge strings, so every pattern's
+    # image is the expanded sum, even where its strings form a pattern.
+    rng = random.Random(5)
+    for n_bits in range(1, 7):
+        maps = []
+        while len(maps) < 5:
+            rows = tuple(rng.randrange(1 << n_bits) for _ in range(n_bits))
+            amap = AffineMapGF2(n_bits, rows, rng.randrange(1 << n_bits))
+            maps += [] if amap.is_invertible() else [amap]
+        for amap in maps:
+            for y in all_patterns(n_bits):
+                assert oracle_apply(amap, y) == oracle_apply(amap, y.expand())
 
 
 def test_oracle_is_linear():
